@@ -40,10 +40,6 @@ def vertices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def iter_subsets(mask: int):
     """All subsets of a mask, including 0 and the mask itself."""
     s = mask

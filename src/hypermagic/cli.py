@@ -110,27 +110,39 @@ def _emit(args, header: list[str], columns: list[str], rows: list[dict]) -> None
         sys.stdout.write(text)
 
 
-def _exact_report(g: Hypergraph, alpha: Fraction, budget_override: int | None) -> magic.MagicReport:
-    spec_budget = _budget.spectrum_budget(budget_override)
-    if g.n <= spec_budget:
-        return magic.sre(spectrum.full_spectrum(from_hypergraph(g, budget_override)), alpha)
+def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int | None,
+                   dump_path: str | None) -> list[magic.MagicReport]:
+    """One table per state, every alpha evaluated from it.
+
+    The route follows the budgets: the direct Walsh route up to the
+    spectrum budget (always, when the full spectrum is dumped), then the
+    rank-class route for edges of at most three vertices, else star traces.
+    """
+    if dump_path or g.n <= _budget.spectrum_budget(budget_override):
+        state = from_hypergraph(g, budget_override)
+        if dump_path:
+            spec = spectrum.full_spectrum(state, budget_override)
+            with open(dump_path, "w", encoding="utf-8") as fh:
+                spectrum.dump_csv(spec, fh)
+            hist = spec.magnitude_histogram()
+        else:
+            hist = spectrum.walsh_magnitudes(state)
+        return [magic.sre_from_moment(magic.moment_from_magnitudes(hist, g.n, a), a,
+                                      magic.METHOD_DIRECT) for a in alphas]
     if g.max_edge_size() <= 3:
         _budget.check(g.n, _budget.sim_budget(budget_override), "rank-class moment")
-        return magic.sre_rank(g, alpha)
+        ranks = spectrum.rank_histogram(g)
+        return [magic.sre_from_moment(spectrum.moment_from_ranks(ranks, g.n, a), a,
+                                      magic.METHOD_RANK) for a in alphas]
     _budget.check(g.n, _budget.sim_budget(budget_override), "star trace sum")
-    return magic.sre_star(g, alpha, budget_override)
+    return [magic.sre_star(g, a, budget_override) for a in alphas]
 
 
 def cmd_exact(args) -> int:
     g = _load_graph(args)
     alphas = _parse_alphas(args.alpha)
-    if args.dump_spectrum:
-        spec = spectrum.full_spectrum(from_hypergraph(g, args.budget), args.budget)
-        with open(args.dump_spectrum, "w", encoding="utf-8") as fh:
-            spectrum.dump_csv(spec, fh)
     rows = []
-    for alpha in alphas:
-        report = _exact_report(g, alpha, args.budget)
+    for alpha, report in zip(alphas, _exact_reports(g, alphas, args.budget, args.dump_spectrum)):
         row = {
             "alpha": str(alpha),
             "pl_moment": float(report.pl_moment),

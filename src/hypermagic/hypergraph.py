@@ -16,7 +16,6 @@ from typing import IO, Iterable
 from .bitops import (
     iter_subsets,
     mask_from_vertices,
-    parity,
     vertices_from_mask,
 )
 
@@ -173,21 +172,6 @@ def induced_star(g: Hypergraph, p: PauliIndex) -> Hypergraph:
     return Hypergraph(g.n, _canonical(g.n, masks))
 
 
-def pair_coefficient(g: Hypergraph, x: int, j: int, k: int) -> int:
-    """For 3-uniform graphs: parity of sum over edges {i,j,k} of x_i.
-
-    This is the coefficient b_{j,k}(x) deciding whether the 2-edge {j,k}
-    (0-based j, k here) appears in the induced graph.
-    """
-    bits = (1 << j) | (1 << k)
-    t = 0
-    for e in g.edges:
-        if e & bits == bits and e.bit_count() == 3:
-            third = e & ~bits
-            t ^= (x >> (third.bit_length() - 1)) & 1
-    return t
-
-
 def cross_masks(g: Hypergraph) -> dict[tuple[int, int], int]:
     """For graphs with all edges of size <= 3: map (j, k) -> mask of third vertices.
 
@@ -246,7 +230,6 @@ def from_text(stream: IO[str] | str) -> Hypergraph:
     return from_masks(n, masks)
 
 
-# kept for callers that want the raw parity of Eq-style coefficients
 __all__ = [
     "Hypergraph",
     "DegreeProfile",
@@ -259,9 +242,7 @@ __all__ = [
     "degree_profile",
     "induced_full",
     "induced_star",
-    "pair_coefficient",
     "cross_masks",
     "to_text",
     "from_text",
-    "parity",
 ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hypergraph import Hypergraph, degree_profile
-from .spectrum import PauliSpectrum, rank_moment, star_trace_sum
+from .spectrum import PauliSpectrum, positive_alpha, rank_moment, star_trace_sum
 
 METHOD_DIRECT = "direct-spectrum"
 METHOD_STAR = "star-trace"
@@ -38,32 +38,26 @@ def log2_of(value) -> float:
 
 
 def pl_moment(spectrum: PauliSpectrum, alpha) -> Fraction | float:
-    """2^-n sum over Paulis of the squared component to the power alpha.
+    """2^-n sum over Paulis of the squared component to the power alpha."""
+    return moment_from_magnitudes(spectrum.magnitude_histogram(), spectrum.n, alpha)
 
-    Exact when alpha is an integer (direct powers) or a half-integer (the
-    stored numerators are perfect squares, so odd powers of the component
-    magnitude are still integers).
+
+def moment_from_magnitudes(hist: np.ndarray, n: int, alpha) -> Fraction | float:
+    """PL-moment from a magnitude histogram, hist[m] = #{(x, z): |W[x, z]| = m}.
+
+    The squared component of a Pauli is m^2 / 4^n, so the moment is
+    2^-n sum_m hist[m] (m^2 / 4^n)^alpha: exact when 2*alpha is an
+    integer (integer powers of m), a correctly rounded float sum otherwise.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    n = spectrum.n
-    values, counts = np.unique(spectrum.sq, return_counts=True)
-    if alpha.denominator == 1:
-        a = int(alpha)
-        num = sum(int(c) * int(v) ** a for v, c in zip(values, counts))
-        return Fraction(num, 2**n * 4 ** (n * a))
+    alpha = positive_alpha(alpha)
+    mags = np.flatnonzero(hist).tolist()
+    counts = hist[mags].tolist()
     if (2 * alpha).denominator == 1:
         e = int(2 * alpha)
-        num = 0
-        for v, c in zip(values, counts):
-            root = math.isqrt(int(v))
-            if root * root != int(v):
-                raise AssertionError("squared component is not a perfect square")
-            num += int(c) * root**e
+        num = sum(c * m**e for m, c in zip(mags, counts))
         return Fraction(num, 2 ** (n * (1 + e)))
     scale = float(4**n)
-    total = math.fsum(float(c) * (float(v) / scale) ** float(alpha) for v, c in zip(values, counts))
+    total = math.fsum(float(c) * (float(m * m) / scale) ** float(alpha) for m, c in zip(mags, counts))
     return total / 2**n
 
 

@@ -4,8 +4,16 @@ Three ways to the same numbers, kept deliberately redundant:
 
 * `component_direct` sums the phase function over the basis (state overlap);
 * `component_induced` traces the phase unitary of the induced hypergraph;
-* `full_spectrum` batches the direct route with one Walsh-Hadamard
-  transform per X mask, exactly, in integer arithmetic.
+* `walsh_blocks` is the batched direct route: the derivative Walsh table
+  W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a}, a few rows at a time.
+
+`walsh_blocks` transforms each block of rows with two float32 matrix
+products by the Kronecker factors H_{2^floor(n/2)} and H_{2^ceil(n/2)} of
+the Sylvester-Hadamard matrix.  Every partial sum is an integer of size at
+most 2^n, so the products are exact up to n = 24, where the kernel stops.
+`full_spectrum` stores all 4^n squares from it; `walsh_magnitudes`
+streams them into a histogram of |W| in O(2^n + block) memory, from which
+every moment order follows, so the exact CLI route holds no 4^n table.
 
 `star_trace_sum` is the moment accumulator over the simplified induced
 graphs, and `rank_moment` evaluates the same sum in closed form per X mask
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO
 
 import numpy as np
@@ -30,7 +39,6 @@ from .hypergraph import (
     _edges_at_least_two,
     cross_masks,
     induced_full,
-    induced_star,
 )
 from .phasestate import PhaseState, from_hypergraph, trace_of_state
 
@@ -62,6 +70,21 @@ class PauliSpectrum:
         if int(self.sq.min()) < 0 or int(self.sq.max()) > 4**self.n:
             raise AssertionError("squared component outside [0, 1]")
 
+    def magnitude_histogram(self) -> np.ndarray:
+        """hist[m] = number of entries with sq == m^2, as `walsh_magnitudes` counts."""
+        mags = np.sqrt(self.sq).astype(np.int64)  # exact for squares below 2^53
+        if not np.array_equal(mags * mags, self.sq):
+            raise AssertionError("squared component is not a perfect square")
+        return np.bincount(mags.ravel(), minlength=(1 << self.n) + 1)
+
+
+def positive_alpha(alpha) -> Fraction:
+    """The moment order as a Fraction; ValueError unless it is positive."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return alpha
+
 
 def component_direct(state: PhaseState, p: PauliIndex) -> Fraction:
     """Signed component 2^-n sum_a (-1)^{f(a) + f(a^x) + z.a}, exact.
@@ -86,19 +109,81 @@ def component_induced(g: Hypergraph, p: PauliIndex, budget: int | None = None) -
     return Fraction(t * t, 4**g.n)
 
 
+WALSH_MAX_N = 24  # float32 holds every integer of size <= 2^24 exactly
+_BLOCK = 1 << 16  # elements of W per block, unless one row is larger
+
+
+@lru_cache(maxsize=8)
+def _hadamard(k: int) -> np.ndarray:
+    """Read-only float32 Sylvester-Hadamard matrix H_{2^k}, entries (-1)^{i.j}."""
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def walsh_blocks(state: PhaseState):
+    """Yield (x0, w) with w[r, z] = W[x0 + r, z] for every X mask, in order.
+
+    W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a} = 2^n Tr(P_{x,z} rho) up to
+    sign, with v = (-1)^f.  A block holds about 2^16 elements (at least one
+    row) as float32 with exact integer values.  Writing a = (a_hi, a_lo)
+    with n_lo = floor(n/2) low bits, each row is the 2^n_hi x 2^n_lo matrix
+    U = v(a) v(a ^ x) and its transform is H_hi U H_lo; both products sum
+    at most 2^n terms of size 1, so no partial sum leaves the exact range.
+    Raises ValueError for n > 24 before allocating anything.
+    """
+    n = state.n
+    if n > WALSH_MAX_N:
+        raise ValueError(f"the float32 Walsh kernel is exact only up to n={WALSH_MAX_N}, got n={n}")
+    return _walsh_blocks(state)
+
+
+def _walsh_blocks(state: PhaseState):
+    n = state.n
+    size = 1 << n
+    n_lo = n // 2
+    h_lo, h_hi = _hadamard(n_lo), _hadamard(n - n_lo)
+    rows = min(size, max(1, _BLOCK >> n))
+    v = 1 - 2 * state.sign_bits().astype(np.float32)
+    idx = np.arange(size)
+    # block starts are multiples of rows, so x0 + r == x0 ^ r for r < rows
+    offsets = idx[None, :] ^ np.arange(rows)[:, None]
+    for x0 in range(0, size, rows):
+        u = v[idx ^ x0][offsets] * v
+        y = (u.reshape(-1, 1 << n_lo) @ h_lo).reshape(rows, 1 << (n - n_lo), 1 << n_lo)
+        yield x0, np.matmul(h_hi, y).reshape(rows, size)
+
+
 def full_spectrum(state: PhaseState, budget: int | None = None) -> PauliSpectrum:
     """All 4^n squared components, Theta(n 4^n) time, exact integers."""
     n = state.n
     _budget.check(n, _budget.spectrum_budget(budget), "full Pauli spectrum")
     size = 1 << n
-    v0 = state.pm_table()
-    idx = np.arange(size)
     sq = np.empty((size, size), dtype=np.int64)
-    for x in range(size):
-        v = v0 * v0[idx ^ x]
-        w = fwht(v)
-        sq[x] = w * w
+    for x0, w in walsh_blocks(state):
+        wi = w.astype(np.int64)
+        sq[x0:x0 + len(w)] = wi * wi
     return PauliSpectrum(n, sq)
+
+
+def walsh_magnitudes(state: PhaseState) -> np.ndarray:
+    """hist[m] = number of Paulis (x, z) with |W[x, z]| = m, for m in [0, 2^n].
+
+    The moment of any order follows from this histogram (see
+    `magic.moment_from_magnitudes`).  Memory is O(2^n + block): no 4^n
+    table is built.  Each call checks Parseval, sum_m hist[m] m^2 = 2^{3n}.
+    """
+    n = state.n
+    blocks = walsh_blocks(state)  # refuses n > 24 before the histogram exists
+    hist = np.zeros((1 << n) + 1, dtype=np.int64)
+    for _, w in blocks:
+        hist += np.bincount(np.abs(w).astype(np.intp).ravel(), minlength=hist.size)
+    mags = np.flatnonzero(hist)
+    if sum(int(hist[m]) * m * m for m in mags.tolist()) != 2 ** (3 * n):
+        raise AssertionError("Walsh magnitudes violate Parseval's identity")
+    return hist
 
 
 def _star_pair_table(g: Hypergraph, x: int) -> int:
@@ -117,9 +202,7 @@ def star_trace_sum(g: Hypergraph, alpha, budget: int | None = None):
     the star graph's 1-edges are exactly the z mask.  Returns an exact
     integer when 2*alpha is a positive integer, else a float.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = positive_alpha(alpha)
     two_alpha = 2 * alpha
     _budget.check(g.n, _budget.sim_budget(budget), "star trace sum")
     size = 1 << g.n
@@ -180,11 +263,12 @@ def rank_moment(g: Hypergraph, alpha):
     2^r points, so sum_z |Tr|^{2a} = 2^{2an + (1-a) r}.  Exact Fractions
     whenever 2*alpha is an integer.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    hist = rank_histogram(g)
-    n = g.n
+    return moment_from_ranks(rank_histogram(g), g.n, positive_alpha(alpha))
+
+
+def moment_from_ranks(hist: np.ndarray, n: int, alpha):
+    """The `rank_moment` sum over a `rank_histogram`, for any order alpha."""
+    alpha = positive_alpha(alpha)
     if (2 * alpha).denominator == 1:
         total = Fraction(0)
         for r, count in enumerate(hist.tolist()):
@@ -209,8 +293,3 @@ def dump_csv(spectrum: PauliSpectrum, stream: IO[str]) -> None:
         for z in range(size):
             stream.write(f"{x},{z},{int(row[z])}\n")
 
-
-def star_component_check(g: Hypergraph, p: PauliIndex, budget: int | None = None) -> Fraction:
-    """Squared component via the star graph (test hook; z-layer from the mask)."""
-    t = trace_of_state(from_hypergraph(induced_star(g, p), budget))
-    return Fraction(t * t, 4**g.n)

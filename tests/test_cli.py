@@ -2,9 +2,13 @@
 
 import json
 import math
+from itertools import combinations
 
+import pytest
+
+from hypermagic import spectrum
 from hypermagic.cli import main, parse_builtin
-from hypermagic.hypergraph import build, c_complete, to_text
+from hypermagic.hypergraph import build, c_complete, from_masks, to_text
 
 
 def run_cli(capsys, *argv):
@@ -15,6 +19,65 @@ def run_cli(capsys, *argv):
 
 def data_rows(out: str) -> list[str]:
     return [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Wrap module.name so that every call adds one to the returned counter."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def uniform3_n13():
+    """A fixed pseudo-random 3-uniform graph on 13 vertices (114 edges)."""
+    n = 13
+    masks = [sum(1 << v for v in c) for c in combinations(range(n), 3)
+             if (7 * c[0] + 11 * c[1] + 13 * c[2]) % 5 < 2]
+    return from_masks(n, masks)
+
+
+GOLDEN_HEADER = "# hypermagic 0.1.0\n# command: exact\n# seed: 20240517\n"
+GOLDEN_COLUMNS = "alpha,pl_moment,pl_moment_exact,sre,method,degree_bound\n"
+# stdout of `exact --alpha 2,1/2,1/3,3`, recorded before the Walsh kernel
+# replaced the per-alpha full spectrum; {graph} stands for the graph file path
+GOLDEN_EXACT = {
+    "ccz": (
+        "# flags: alpha=2,1/2,1/3,3 edges=1 graph=ccz n=3\n"
+        "2,0.34375,11/32,1.5405683813627027,direct-spectrum,2.9328965609146365\n"
+        "1/2,1.875,15/8,1.8137811912170374,direct-spectrum,\n"
+        "1/3,2.3298618373160283,,1.830366606656887,direct-spectrum,\n"
+        "3,0.1796875,23/128,1.2382190219714935,direct-spectrum,1.4978877084107873\n"
+    ),
+    "3complete:9": (
+        "# flags: alpha=2,1/2,1/3,3 edges=84 graph=3complete:9 n=9\n"
+        "2,0.12841796875,263/2048,2.961081010707698,direct-spectrum,8.999999226078094\n"
+        "1/2,8.998046875,4607/512,6.339223765208423,direct-spectrum,\n"
+        "1/3,21.41568940661169,,6.630894323420147,direct-spectrum,\n"
+        "3,0.03308868408203125,4337/131072,2.4587591360684486,direct-spectrum,4.499999999994095\n"
+    ),
+    "ncomplete:10": (
+        "# flags: alpha=2,1/2,1/3,3 edges=1 graph=ncomplete:10 n=10\n"
+        "2,0.9844816030235961,8456632577/8589934592,0.022563848104987017,direct-spectrum,"
+        "9.999999892510843\n"
+        "1/2,2.9902420043945312,391937/131072,3.1605244968811093,direct-spectrum,\n"
+        "1/3,13.659424605160142,,5.657737210734332,direct-spectrum,\n"
+        "3,0.9768128590587857,274948376754241/281474976710656,0.016922951182419155,"
+        "direct-spectrum,4.999999999999795\n"
+    ),
+    "uniform3:13": (
+        "# flags: alpha=2,1/2,1/3,3 edges=114 graph={graph} n=13\n"
+        "2,0.0009150505065917969,1919/2097152,10.09386100380462,rank-class,12.999999999727079\n"
+        "1/2,44.0245361328125,360649/8192,10.920471795960758,rank-class,\n"
+        "1/3,160.1700236343224,,10.985190536237608,rank-class,\n"
+        "3,0.00012324520503170788,4234673/34359738368,6.493090430617325,rank-class,6.5\n"
+    ),
+}
 
 
 class TestBuiltins:
@@ -89,6 +152,49 @@ class TestExact:
         lines = dump.read_text().splitlines()
         assert lines[0] == f"# denominator 4^n = {4**3}"
         assert len(lines) == 2 + 64
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EXACT))
+    def test_golden_stdout(self, capsys, tmp_path, name):
+        if name == "uniform3:13":
+            path = tmp_path / "uniform3_13.hg"
+            path.write_text(to_text(uniform3_n13()))
+            source = ["--graph", str(path)]
+        else:
+            path = None
+            source = ["--builtin", name]
+        code, out, _ = run_cli(capsys, "exact", *source, "--alpha", "2,1/2,1/3,3")
+        assert code == 0
+        flags, rows = GOLDEN_EXACT[name].split("\n", 1)
+        expected = GOLDEN_HEADER + flags.format(graph=path) + "\n" + GOLDEN_COLUMNS + rows
+        assert out == expected
+
+    def test_direct_route_runs_walsh_kernel_once(self, capsys, monkeypatch):
+        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        full = count_calls(monkeypatch, spectrum, "full_spectrum")
+        fwht = count_calls(monkeypatch, spectrum, "fwht")
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "3complete:10", "--alpha", "2,1/2,3")
+        assert code == 0
+        assert [r.split(",")[4] for r in data_rows(out)[1:]] == ["direct-spectrum"] * 3
+        assert (walsh[0], full[0], fwht[0]) == (1, 0, 0)
+
+    def test_rank_route_builds_one_histogram(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "uniform3_13.hg"
+        path.write_text(to_text(uniform3_n13()))
+        ranks = count_calls(monkeypatch, spectrum, "rank_histogram")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        code, out, _ = run_cli(capsys, "exact", "--graph", str(path), "--alpha", "2,1/2,3")
+        assert code == 0
+        assert [r.split(",")[4] for r in data_rows(out)[1:]] == ["rank-class"] * 3
+        assert (ranks[0], walsh[0]) == (1, 0)
+
+    def test_spectrum_dump_builds_one_table(self, capsys, monkeypatch, tmp_path):
+        dump = tmp_path / "spectrum.csv"
+        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "ccz", "--alpha", "2,1/2,1/3,3",
+                               "--dump-spectrum", str(dump))
+        assert code == 0
+        assert walsh[0] == 1
+        assert data_rows(out)[1:] == GOLDEN_EXACT["ccz"].splitlines()[1:]
 
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERMAGIC_JOBS", "2")

@@ -1,14 +1,17 @@
 """Spectrum routes: direct, induced, Walsh-Hadamard batch, rank classes."""
 
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from hypermagic import spectrum
 from hypermagic.bitops import fwht, gf2_rank_fast
 from hypermagic.budget import BudgetError
 from hypermagic.hypergraph import PauliIndex, build, c_complete, empty, from_masks
-from hypermagic.phasestate import from_hypergraph
+from hypermagic.phasestate import PhaseState, from_hypergraph
 from hypermagic.spectrum import (
     component_direct,
     component_induced,
@@ -17,6 +20,8 @@ from hypermagic.spectrum import (
     rank_histogram,
     rank_moment,
     star_trace_sum,
+    walsh_blocks,
+    walsh_magnitudes,
 )
 
 from conftest import dense_pauli, dense_state, naive_component, random_graph, random_uniform3
@@ -135,6 +140,120 @@ class TestFullSpectrum:
     def test_budget(self):
         with pytest.raises(BudgetError):
             full_spectrum(from_hypergraph(empty(6)), budget=5)
+
+
+def every_edge_size_graph(n: int, rng):
+    """Random graph with at least one edge of each size 1..n, plus n random edges."""
+    masks = set()
+    for k in range(1, n + 1):
+        masks.add(sum(1 << int(v) for v in rng.choice(n, size=k, replace=False)))
+    while len(masks) < min(2 * n, (1 << n) - 1):
+        masks.add(int(rng.integers(1, 1 << n)))
+    return from_masks(n, masks)
+
+
+def kernel_graphs(rng):
+    for n in range(1, 11):
+        yield every_edge_size_graph(n, rng)
+        yield empty(n)
+        yield c_complete(n, n)
+
+
+def fwht_magnitudes(g) -> np.ndarray:
+    """|W| histogram from one int64 butterfly per X mask."""
+    n = g.n
+    v0 = from_hypergraph(g).pm_table()
+    idx = np.arange(1 << n)
+    hist = np.zeros((1 << n) + 1, dtype=np.int64)
+    for x in range(1 << n):
+        hist += np.bincount(np.abs(fwht(v0 * v0[idx ^ x])), minlength=hist.size)
+    return hist
+
+
+def direct_magnitudes(g) -> np.ndarray:
+    """|W| histogram from one basis-overlap sum per Pauli."""
+    n = g.n
+    st = from_hypergraph(g)
+    hist = np.zeros((1 << n) + 1, dtype=np.int64)
+    for x in range(1 << n):
+        for z in range(1 << n):
+            hist[int(abs(component_direct(st, PauliIndex(x, z)) * (1 << n)))] += 1
+    return hist
+
+
+class TestWalshKernel:
+    def test_matches_butterfly_n1_to_10(self, rng):
+        for g in kernel_graphs(rng):
+            hist = walsh_magnitudes(from_hypergraph(g))
+            assert hist.shape == ((1 << g.n) + 1,)
+            assert np.array_equal(hist, fwht_magnitudes(g)), g
+
+    def test_matches_component_direct(self, rng):
+        for g in kernel_graphs(rng):
+            if g.n <= 5:
+                assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), direct_magnitudes(g)), g
+
+    def test_full_spectrum_validates_and_agrees(self, rng):
+        for g in kernel_graphs(rng):
+            st = from_hypergraph(g)
+            spec = full_spectrum(st)
+            spec.validate()
+            assert np.array_equal(spec.magnitude_histogram(), walsh_magnitudes(st)), g
+
+    def test_blocks_cover_rows_in_order(self, rng):
+        # n = 7: one block of 4^7 elements; n = 10: 16 blocks of 64 rows
+        for n in (7, 10):
+            st = from_hypergraph(every_edge_size_graph(n, rng))
+            v0 = st.pm_table()
+            idx = np.arange(1 << n)
+            next_x = 0
+            for x0, w in walsh_blocks(st):
+                assert x0 == next_x
+                assert w.dtype == np.float32 and w.shape[1] == 1 << n
+                assert w.size == min(4**n, 1 << 16)
+                for r in range(len(w)):
+                    assert np.array_equal(w[r].astype(np.int64), fwht(v0 * v0[idx ^ (x0 + r)]))
+                next_x += len(w)
+            assert next_x == 1 << n
+
+    def test_rows_larger_than_a_block(self, rng):
+        # n = 19: one row per block, uneven Kronecker split 2^9 x 2^10
+        n = 19
+        g = from_masks(n, [int(rng.integers(1, 1 << n)) for _ in range(12)] + [(1 << n) - 1])
+        st = from_hypergraph(g)
+        v0 = st.pm_table()
+        idx = np.arange(1 << n)
+        for x0, w in islice(walsh_blocks(st), 3):
+            assert w.shape == (1, 1 << n)
+            assert np.array_equal(w[0].astype(np.int64), fwht(v0 * v0[idx ^ x0]))
+
+    def test_refuses_n_above_24_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n=25"):
+                walsh_blocks(PhaseState(25, 0))
+            with pytest.raises(ValueError, match="n=25"):
+                walsh_magnitudes(PhaseState(25, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # a 2^25 table would take at least 32 MiB
+
+    def test_parseval_checked_on_every_call(self, monkeypatch):
+        st = from_hypergraph(build(4, [(1, 2, 3), (2, 4)]))
+        walsh_magnitudes(st)
+        original = spectrum.walsh_blocks
+
+        def corrupted(state):
+            for x0, w in original(state):
+                if x0 == 0:
+                    w = w.copy()
+                    w[-1, -1] += 2  # still a valid magnitude, wrong total power
+                yield x0, w
+
+        monkeypatch.setattr(spectrum, "walsh_blocks", corrupted)
+        with pytest.raises(AssertionError, match="Parseval"):
+            walsh_magnitudes(st)
 
 
 class TestStarTraceSum:
