@@ -1,11 +1,12 @@
 """Simulation budgets with environment overrides.
 
-Phase tables cost 2^n bits.  The spectrum budget bounds the n 4^n time of
-the direct Walsh route of `exact`, whose memory is O(2^n), and the 4^n
-words of `full_spectrum` and `--dump-spectrum`, which hold the whole
-table.  The defaults keep casual calls from accidentally requesting
-terabytes or days; each can be raised per call or via environment
-variables.
+Phase tables cost 2^n bits.  The spectrum budget is where `exact` moves
+graphs whose edges have at most three vertices from the n 4^n Walsh pass
+(O(2^n) memory) to the rank route; states with larger edges stay on the
+Walsh pass up to its exact range, n <= 24.  It also bounds the 4^n words
+of `full_spectrum` and `--dump-spectrum`, which hold the whole table.
+The defaults keep casual calls from accidentally requesting terabytes or
+days; each can be raised per call or via environment variables.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import os
 
 DEFAULT_SIM_BUDGET = 26  # phase tables, 2^n-bit
-DEFAULT_SPECTRUM_BUDGET = 12  # n 4^n Walsh work; 4^n words for a full table
+DEFAULT_SPECTRUM_BUDGET = 12  # rank route above it for c <= 3; 4^n words for a full table
 DEFAULT_THEORY_BUDGET = 64  # composition-sum evaluations, O(n^6) work
 
 ENV_SIM = "HYPERMAGIC_SIM_BUDGET"

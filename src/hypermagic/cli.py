@@ -114,28 +114,26 @@ def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int |
                    dump_path: str | None) -> list[magic.MagicReport]:
     """One table per state, every alpha evaluated from it.
 
-    The route follows the budgets: the direct Walsh route up to the
-    spectrum budget (always, when the full spectrum is dumped), then the
-    rank-class route for edges of at most three vertices, else star traces.
+    `--dump-spectrum` builds the full spectrum.  Graphs whose edges have at
+    most three vertices take the rank-class route above the spectrum
+    budget; every other state streams the Walsh kernel's magnitude
+    histogram, which is refused beyond the kernel's exact range.
     """
-    if dump_path or g.n <= _budget.spectrum_budget(budget_override):
-        state = from_hypergraph(g, budget_override)
-        if dump_path:
-            spec = spectrum.full_spectrum(state, budget_override)
-            with open(dump_path, "w", encoding="utf-8") as fh:
-                spectrum.dump_csv(spec, fh)
-            hist = spec.magnitude_histogram()
-        else:
-            hist = spectrum.walsh_magnitudes(state)
-        return [magic.sre_from_moment(magic.moment_from_magnitudes(hist, g.n, a), a,
-                                      magic.METHOD_DIRECT) for a in alphas]
-    if g.max_edge_size() <= 3:
+    if dump_path:
+        spec = spectrum.full_spectrum(from_hypergraph(g, budget_override), budget_override)
+        with open(dump_path, "w", encoding="utf-8") as fh:
+            spectrum.dump_csv(spec, fh)
+        hist = spec.magnitude_histogram()
+    elif g.n > _budget.spectrum_budget(budget_override) and g.max_edge_size() <= 3:
         _budget.check(g.n, _budget.sim_budget(budget_override), "rank-class moment")
         ranks = spectrum.rank_histogram(g)
         return [magic.sre_from_moment(spectrum.moment_from_ranks(ranks, g.n, a), a,
                                       magic.METHOD_RANK) for a in alphas]
-    _budget.check(g.n, _budget.sim_budget(budget_override), "star trace sum")
-    return [magic.sre_star(g, a, budget_override) for a in alphas]
+    else:
+        spectrum.walsh_gate(g.n, "Walsh spectrum")
+        hist = spectrum.walsh_magnitudes(from_hypergraph(g, budget_override))
+    return [magic.sre_from_moment(magic.moment_from_magnitudes(hist, g.n, a), a,
+                                  magic.METHOD_DIRECT) for a in alphas]
 
 
 def cmd_exact(args) -> int:

@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from multiprocessing import get_context
 
 import numpy as np
 
 from . import budget as _budget
 from .hypergraph import Hypergraph, c_complete, from_masks
-from .magic import log2_of
-from .spectrum import rank_moment, star_trace_sum
+from .magic import log2_of, moment_from_magnitudes
+from .phasestate import from_hypergraph
+from .spectrum import rank_moment, walsh_gate, walsh_magnitudes
 
 COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
@@ -93,15 +96,27 @@ def sample(spec: EnsembleSpec, index: int) -> Hypergraph:
 
 
 def state_moment(g: Hypergraph, alpha) -> Fraction | float:
-    """PL-moment of one state: rank route when edges are small, star sum otherwise."""
+    """PL-moment of one state: rank route when edges are small, Walsh kernel otherwise."""
     alpha = Fraction(alpha)
     if g.max_edge_size() <= 3:
         return rank_moment(g, alpha)
-    total = star_trace_sum(g, alpha)
-    denom_exp = g.n * (1 + 2 * alpha)
-    if isinstance(total, int) and denom_exp.denominator == 1:
-        return Fraction(total, 2 ** int(denom_exp))
-    return float(total) / 2.0 ** float(denom_exp)
+    walsh_gate(g.n, "Walsh moment")
+    return moment_from_magnitudes(walsh_magnitudes(from_hypergraph(g)), g.n, alpha)
+
+
+def pool_workers(jobs: int, tasks: int) -> int:
+    """Worker processes for a task list: jobs clamped to the tasks and the CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def _map_tasks(worker, tasks: list, jobs: int) -> list:
+    """worker(t) for every task, in order; in a process pool when it gets 2+ workers."""
+    workers = pool_workers(jobs, len(tasks))
+    if workers == 1:
+        return [worker(t) for t in tasks]
+    # spawned, not forked: the parent may already hold BLAS threads
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def _mc_worker(args: tuple[int, float, int, int, int, str]) -> float:
@@ -120,12 +135,7 @@ def monte_carlo_moment(
     _budget.check(spec.n, _budget.sim_budget(budget), "Monte Carlo moment")
     alpha = Fraction(alpha)
     tasks = [(spec.c, spec.p, spec.n, spec.seed, i, str(alpha)) for i in range(samples)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_mc_worker, tasks, chunksize=max(1, samples // (4 * jobs))))
-    else:
-        values = [_mc_worker(t) for t in tasks]
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(_map_tasks(_mc_worker, tasks, jobs), dtype=np.float64)
     return MomentEstimate(
         mean=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / math.sqrt(samples)),
@@ -353,12 +363,7 @@ def concentration_check(
     if samples < 1:
         raise ValueError("need at least one sample")
     _budget.check(n, _budget.sim_budget(budget), "concentration check")
-    tasks = [(n, seed, i) for i in range(samples)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = list(pool.map(_conc_worker, tasks, chunksize=max(1, samples // (4 * jobs))))
-    else:
-        flags = [_conc_worker(t) for t in tasks]
+    flags = _map_tasks(_conc_worker, [(n, seed, i) for i in range(samples)], jobs)
     return ConcentrationResult(
         n=n,
         samples=samples,

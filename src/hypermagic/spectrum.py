@@ -7,18 +7,23 @@ Three ways to the same numbers, kept deliberately redundant:
 * `walsh_blocks` is the batched direct route: the derivative Walsh table
   W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a}, a few rows at a time.
 
-`walsh_blocks` transforms each block of rows with two float32 matrix
-products by the Kronecker factors H_{2^floor(n/2)} and H_{2^ceil(n/2)} of
-the Sylvester-Hadamard matrix.  Every partial sum is an integer of size at
-most 2^n, so the products are exact up to n = 24, where the kernel stops.
-`full_spectrum` stores all 4^n squares from it; `walsh_magnitudes`
-streams them into a histogram of |W| in O(2^n + block) memory, from which
-every moment order follows, so the exact CLI route holds no 4^n table.
+`walsh_blocks` transforms each block of about 2^15 entries with two
+float32 matrix products by the Kronecker factors H_{2^floor(n/2)} and
+H_{2^ceil(n/2)} of the Sylvester-Hadamard matrix.  Every partial sum is an
+integer of size at most 2^n, so the products are exact up to n = 24, where
+the kernel stops.  `full_spectrum` stores all 4^n squares from it;
+`walsh_magnitudes` streams them into a histogram of |W| in O(2^n + block)
+memory, from which every moment order follows.  That histogram is the
+production route for `exact` and for ensemble samples with an edge of four
+or more vertices.
 
-`star_trace_sum` is the moment accumulator over the simplified induced
-graphs, and `rank_moment` evaluates the same sum in closed form per X mask
-for graphs whose edges have at most three vertices, using the GF(2) rank
-of the induced pair-edge form.
+`rank_moment` evaluates the moment in closed form per X mask for graphs
+whose edges have at most three vertices, from the GF(2) rank of the
+induced pair-edge form; `rank_histogram` ranks the forms of all masks by
+one batched elimination.  `star_trace_sum`, the moment accumulator over
+the simplified induced graphs with one Walsh transform per X mask, and
+`component_induced` are oracles only: the tests and `verify` check the
+production routes against them.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import IO
 import numpy as np
 
 from . import budget as _budget
-from .bitops import fwht, gf2_rank_fast, superset_table, table_to_bits
+from .bitops import fwht, superset_table, table_to_bits
 from .hypergraph import (
     Hypergraph,
     PauliIndex,
@@ -110,7 +115,11 @@ def component_induced(g: Hypergraph, p: PauliIndex, budget: int | None = None) -
 
 
 WALSH_MAX_N = 24  # float32 holds every integer of size <= 2^24 exactly
-_BLOCK = 1 << 16  # elements of W per block, unless one row is larger
+# Elements of W per block, unless one row is larger.  At 2^16 the block
+# temporaries (256 KiB float32, 512 KiB int64) went back to the OS after
+# every call and were faulted in again: 480 minor page faults per n = 8
+# call against 128 at 2^15, which ran 1.5-2x faster at n = 8.
+_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=8)
@@ -123,11 +132,19 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
+def walsh_gate(n: int, what: str) -> None:
+    """BudgetError for a Walsh-kernel request beyond the kernel's exact range."""
+    if n > WALSH_MAX_N:
+        raise _budget.BudgetError(
+            f"{what} at n={n} refused: the float32 Walsh kernel is exact only up to n={WALSH_MAX_N}"
+        )
+
+
 def walsh_blocks(state: PhaseState):
     """Yield (x0, w) with w[r, z] = W[x0 + r, z] for every X mask, in order.
 
     W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a} = 2^n Tr(P_{x,z} rho) up to
-    sign, with v = (-1)^f.  A block holds about 2^16 elements (at least one
+    sign, with v = (-1)^f.  A block holds about 2^15 elements (at least one
     row) as float32 with exact integer values.  Writing a = (a_hi, a_lo)
     with n_lo = floor(n/2) low bits, each row is the 2^n_hi x 2^n_lo matrix
     U = v(a) v(a ^ x) and its transform is H_hi U H_lo; both products sum
@@ -231,25 +248,51 @@ def rank_histogram(g: Hypergraph, chunk: int = 1 << 16) -> np.ndarray:
     induced edges of size >= 2 are exactly the pairs {j, k} flagged by the
     parity of x over the matching third vertices, a symmetric zero-diagonal
     GF(2) matrix B(x).  Ranks of such forms are even.
+
+    B(x) is linear in x, B(x) = sum_i x_i B(e_i), so the rows of every B(x)
+    in a chunk of masks are built with n XORs.  They are held as an
+    (n, chunk) array of row bitmasks, uint16 up to n = 16 and uint32 above,
+    and reduced by one GF(2) elimination over all masks of the chunk: each
+    of the n column steps takes the first row that has the column's bit as
+    pivot and XORs it into every row that has the bit, the pivot itself
+    included, so a mask's rank is the number of steps that found a pivot.
     """
     n = g.n
     size = 1 << n
-    pairs = list(cross_masks(g).items())
+    pairs = cross_masks(g)
     hist = np.zeros(n + 1, dtype=np.int64)
     if not pairs:
         hist[0] = size
         return hist
+    dtype = np.uint16 if n <= 16 else np.uint32
+    third = np.zeros((n, n), dtype=np.int64)
+    for (j, k), m in pairs.items():
+        third[j, k] = third[k, j] = m
+    vertex = np.arange(n)
+    # form[i, j]: row j of B(e_i), bit k set iff {i, j, k} is an edge
+    form = (((third >> vertex[:, None, None]) & 1) << vertex).sum(axis=2).astype(dtype)
+    weight = np.arange(n, 0, -1, dtype=np.uint8)[:, None]  # row i weighs n - i
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
-        xs = np.arange(start, stop, dtype=np.uint64)
-        rows = np.zeros((stop - start, n), dtype=np.int64)
-        for (j, k), m in pairs:
-            par = (np.bitwise_count(xs & np.uint64(m)) & 1).astype(np.int64)
-            rows[:, j] |= par << k
-            rows[:, k] |= par << j
-        for rowvals in rows.tolist():
-            r = gf2_rank_fast([v for v in rowvals if v])
-            hist[r] += 1
+        width = stop - start
+        xs = np.arange(start, stop)
+        rows = np.zeros((n, width), dtype=dtype)
+        for i in range(n):
+            rows ^= form[i][:, None] * ((xs >> i) & 1).astype(dtype)
+        flat = rows.reshape(-1)
+        cols = np.arange(width)
+        # flat offset of the pivot row from the top weight; 0 (no row has
+        # the bit) selects row 0, whose XOR then changes nothing
+        offsets = (n - np.arange(n + 1)) % n * width
+        rank = np.zeros(width, dtype=np.intp)
+        for b in range(n):
+            has = (rows & dtype(1 << b)) != 0
+            # n - (first row with the bit), or 0: a max over rows, because a
+            # strided argmax(axis=0) over the same array ran about 10x slower
+            top = (has * weight).max(axis=0)
+            rows ^= has * flat[offsets[top] + cols]
+            rank += top != 0
+        hist += np.bincount(rank, minlength=n + 1)
     if int(hist[1::2].sum()) != 0:
         raise AssertionError("pair-edge form produced an odd rank")
     return hist

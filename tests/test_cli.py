@@ -2,11 +2,12 @@
 
 import json
 import math
+import sys
 from itertools import combinations
 
 import pytest
 
-from hypermagic import spectrum
+from hypermagic import bitops, phasestate, spectrum
 from hypermagic.cli import main, parse_builtin
 from hypermagic.hypergraph import build, c_complete, from_masks, to_text
 
@@ -22,7 +23,8 @@ def data_rows(out: str) -> list[str]:
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:
-    """Wrap module.name so that every call adds one to the returned counter."""
+    """Wrap module.name, and every package module's import of it, so that
+    every call adds one to the returned counter."""
     calls = [0]
     original = getattr(module, name)
 
@@ -30,7 +32,11 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and mod_name.split(".")[0] == "hypermagic":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
@@ -76,6 +82,36 @@ GOLDEN_EXACT = {
         "1/2,44.0245361328125,360649/8192,10.920471795960758,rank-class,\n"
         "1/3,160.1700236343224,,10.985190536237608,rank-class,\n"
         "3,0.00012324520503170788,4234673/34359738368,6.493090430617325,rank-class,6.5\n"
+    ),
+}
+
+
+# stdout of `exact --builtin ncomplete:8 --alpha 2,1/2,3` with the spectrum
+# budget at 4, recorded when c >= 4 states above the budget took the star
+# route (label star-trace, now direct-spectrum)
+GOLDEN_NCOMPLETE8_ROWS = (
+    "2,0.9391956627368927,31514177/33554432,0.09050234887809339,{method},7.999994496556485\n"
+    "1/2,2.9610595703125,24257/8192,3.13222702961583,{method},\n"
+    "3,0.9101889061421389,62547705361/68719476736,0.06788104639745285,{method},"
+    "3.999999999832048\n"
+)
+
+GOLDEN_ENSEMBLE_HEADER = "# hypermagic 0.1.0\n# command: ensemble\n# seed: 20240517\n"
+GOLDEN_ENSEMBLE_COLUMNS = "c,p,n,alpha,method,value,stderr,samples,bound_upper,sre_lower_bound\n"
+# stdout of `ensemble ... --alpha 2,1/2`, recorded when samples took the
+# per-mask rank loop (c = 3) and the star trace sum (c = 4)
+GOLDEN_ENSEMBLE = {
+    ("-c", "3", "-n", "12", "--samples", "8"): (
+        "# flags: alpha=2,1/2 c=3 exact=False jobs=1 n=12 p=0.5 samples=8 theory=False\n"
+        "3,0.5,12,2,monte-carlo,0.0016911029815673828,1.3110854229800719e-05,8,0.5,"
+        "9.207819767745193\n"
+        "3,0.5,12,1/2,monte-carlo,29.4921875,0.06219455468116582,8,,\n"
+    ),
+    ("-c", "4", "-n", "10", "--samples", "2"): (
+        "# flags: alpha=2,1/2 c=4 exact=False jobs=1 n=10 p=0.5 samples=2 theory=False\n"
+        "4,0.5,10,2,monte-carlo,0.006850600242614746,7.510185241699218e-06,2,4.0,"
+        "7.189553883580902\n"
+        "4,0.5,10,1/2,monte-carlo,17.86029052734375,0.0015869140624999998,2,,\n"
     ),
 }
 
@@ -196,6 +232,24 @@ class TestExact:
         assert walsh[0] == 1
         assert data_rows(out)[1:] == GOLDEN_EXACT["ccz"].splitlines()[1:]
 
+    def test_large_edges_above_budget_run_walsh_kernel_once(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERMAGIC_SPECTRUM_BUDGET", "4")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        star = count_calls(monkeypatch, spectrum, "star_trace_sum")
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "ncomplete:8", "--alpha", "2,1/2,3")
+        assert code == 0
+        rows = "\n".join(data_rows(out)[1:]) + "\n"
+        assert rows == GOLDEN_NCOMPLETE8_ROWS.format(method="direct-spectrum")
+        assert (walsh[0], star[0]) == (1, 0)
+
+    def test_large_edges_beyond_kernel_exit_4_before_any_table(self, capsys, monkeypatch):
+        tables = count_calls(monkeypatch, phasestate, "from_hypergraph")
+        star = count_calls(monkeypatch, spectrum, "star_trace_sum")
+        code, _, err = run_cli(capsys, "exact", "--builtin", "ncomplete:25", "--alpha", "2")
+        assert code == 4
+        assert "exact only up to n=24" in err
+        assert (tables[0], star[0]) == (0, 0)
+
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERMAGIC_JOBS", "2")
         code, out, _ = run_cli(
@@ -242,6 +296,16 @@ class TestEnsembleCmd:
         est = payload["estimates"][0]
         assert set(est) == {"c", "p", "n", "alpha", "samples", "mean", "stderr", "seed"}
         assert est["samples"] == 16 and est["seed"] == 7
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_ENSEMBLE), ids=lambda a: f"c{a[1]}-n{a[3]}")
+    def test_samples_golden_stdout_without_per_mask_routes(self, capsys, monkeypatch, argv):
+        ranks = count_calls(monkeypatch, bitops, "gf2_rank_fast")
+        star = count_calls(monkeypatch, spectrum, "star_trace_sum")
+        code, out, _ = run_cli(capsys, "ensemble", *argv, "--alpha", "2,1/2")
+        assert code == 0
+        flags, rows = GOLDEN_ENSEMBLE[argv].split("\n", 1)
+        assert out == GOLDEN_ENSEMBLE_HEADER + flags + "\n" + GOLDEN_ENSEMBLE_COLUMNS + rows
+        assert (ranks[0], star[0]) == (0, 0)
 
     def test_mode_flags_are_exclusive(self, capsys):
         code, _, _ = run_cli(

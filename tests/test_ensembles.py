@@ -1,11 +1,13 @@
 """Ensemble sampling, moment statistics, counting problems, closed forms."""
 
 import math
+import os
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from hypermagic import ensembles
 from hypermagic.budget import BudgetError
 from hypermagic.ensembles import (
     EnsembleSpec,
@@ -23,9 +25,11 @@ from hypermagic.ensembles import (
     moment_from_counting,
     monte_carlo_moment,
     odd_triples_bruteforce,
+    pool_workers,
     sample,
     solve_edge_budget,
     sre_lower_bound_general,
+    state_moment,
     variance_bound,
     _avg_m2_exact,
     _avg_m2_half_exact,
@@ -91,6 +95,70 @@ class TestMonteCarlo:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_moment(EnsembleSpec(3, 0.5, 6, 7), 2, 1)
+
+
+class TestStateMoment:
+    @pytest.mark.parametrize("alpha", [2, Fraction(1, 2), 3])
+    def test_walsh_route_equals_star_route(self, alpha):
+        from hypermagic.hypergraph import c_complete, from_masks
+        from hypermagic.spectrum import star_trace_sum
+
+        graphs = [sample(EnsembleSpec(4, p, n, 29), i)
+                  for n, p in ((5, 0.5), (7, 0.25), (8, 0.5)) for i in range(3)]
+        graphs += [c_complete(6, 6), from_masks(6, [0b1111, 0b111100, 0b110011, 0b1, 0b11])]
+        for g in graphs:
+            assert g.max_edge_size() >= 4
+            n = g.n
+            star = Fraction(star_trace_sum(g, alpha), 2 ** int(n * (1 + 2 * Fraction(alpha))))
+            moment = state_moment(g, alpha)
+            assert isinstance(moment, Fraction) and moment == star, g
+
+    def test_refused_beyond_the_walsh_kernel(self):
+        from hypermagic.hypergraph import c_complete
+
+        with pytest.raises(BudgetError, match="n=24"):
+            state_moment(c_complete(25, 25), 2)
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers, mp_context=None):
+        FakePool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestWorkerPool:
+    def test_clamped_to_tasks_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert pool_workers(10**6, 5) == min(5, cpus)
+        assert pool_workers(10**6, 10**6) == cpus
+        assert pool_workers(2, 10**6) == min(2, cpus)
+        assert pool_workers(1, 8) == 1
+        assert pool_workers(0, 8) == 1
+        assert pool_workers(-3, 8) == 1
+        assert pool_workers(4, 0) == 1
+
+    @pytest.mark.parametrize("run", [
+        lambda jobs: monte_carlo_moment(EnsembleSpec(3, 0.5, 5, 7), 2, 3, jobs=jobs),
+        lambda jobs: concentration_check(5, 3, seed=2, jobs=jobs),
+    ], ids=["monte_carlo_moment", "concentration_check"])
+    def test_huge_jobs_reads_the_clamped_count(self, monkeypatch, run):
+        monkeypatch.setattr(ensembles, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "made", [])
+        workers = pool_workers(10**6, 3)
+        assert run(10**6) == run(1)
+        assert FakePool.made == ([workers] if workers > 1 else [])
 
 
 class TestExactAverage:

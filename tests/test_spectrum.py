@@ -201,7 +201,7 @@ class TestWalshKernel:
             assert np.array_equal(spec.magnitude_histogram(), walsh_magnitudes(st)), g
 
     def test_blocks_cover_rows_in_order(self, rng):
-        # n = 7: one block of 4^7 elements; n = 10: 16 blocks of 64 rows
+        # n = 7: one block of 4^7 elements; n = 10: blocks of _BLOCK / 2^10 rows
         for n in (7, 10):
             st = from_hypergraph(every_edge_size_graph(n, rng))
             v0 = st.pm_table()
@@ -210,7 +210,7 @@ class TestWalshKernel:
             for x0, w in walsh_blocks(st):
                 assert x0 == next_x
                 assert w.dtype == np.float32 and w.shape[1] == 1 << n
-                assert w.size == min(4**n, 1 << 16)
+                assert w.size == min(4**n, spectrum._BLOCK)
                 for r in range(len(w)):
                     assert np.array_equal(w[r].astype(np.int64), fwht(v0 * v0[idx ^ (x0 + r)]))
                 next_x += len(w)
@@ -338,6 +338,59 @@ class TestRankMoment:
     def test_rejects_big_edges(self):
         with pytest.raises(ValueError):
             rank_moment(build(4, [(1, 2, 3, 4)]), 2)
+
+
+def per_mask_rank_histogram(g) -> np.ndarray:
+    """Rank histogram with B(x) built from the edges and one `gf2_rank_fast` per mask."""
+    n = g.n
+    xs = np.arange(1 << n, dtype=np.int64)
+    rows = np.zeros((1 << n, n), dtype=np.int64)
+    for e in g.edges:
+        if e.bit_count() != 3:
+            continue
+        vs = [b for b in range(n) if e >> b & 1]
+        for third in vs:
+            j, k = (v for v in vs if v != third)
+            on = (xs >> third) & 1
+            rows[:, j] ^= on << k
+            rows[:, k] ^= on << j
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for r in rows.tolist():
+        hist[gf2_rank_fast([v for v in r if v])] += 1
+    return hist
+
+
+def small_edge_graph(n: int, rng, sizes=(1, 2, 3), count=None):
+    """Random graph whose edges have sizes drawn from `sizes` (those <= n)."""
+    sizes = [k for k in sizes if k <= n]
+    count = 2 * n if count is None else count
+    masks = set()
+    for _ in range(count):
+        k = int(rng.choice(sizes))
+        masks.add(sum(1 << int(v) for v in rng.choice(n, size=k, replace=False)))
+    return from_masks(n, masks)
+
+
+class TestBatchedRankHistogram:
+    def test_matches_per_mask_rank_n1_to_14(self, rng):
+        for n in range(1, 15):
+            graphs = [empty(n), small_edge_graph(n, rng, sizes=(1, 2)), small_edge_graph(n, rng)]
+            if n >= 3:
+                graphs += [c_complete(n, 3), random_uniform3(n, rng)]
+            for g in graphs:
+                expected = per_mask_rank_histogram(g)
+                assert np.array_equal(rank_histogram(g), expected), g
+                if n <= 10:
+                    assert np.array_equal(rank_histogram(g, chunk=7), expected), g
+
+    def test_uint32_rows_above_16_vertices(self, rng):
+        # n = 17: rows need bit 16, past uint16; the chunks split the masks unevenly
+        n = 17
+        g = from_masks(n, (0b111 << 14,) + small_edge_graph(n, rng, sizes=(3,), count=12).edges)
+        expected = per_mask_rank_histogram(g)
+        assert expected[2:].sum() > 0
+        assert np.array_equal(rank_histogram(g, chunk=3 << 12), expected)
+        assert np.array_equal(rank_histogram(g), expected)
 
 
 class TestCsvDump:
