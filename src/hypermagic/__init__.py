@@ -20,7 +20,6 @@ from .hypergraph import (
     from_masks,
     from_text,
     induced_full,
-    induced_star,
     to_text,
 )
 from .phasestate import (
@@ -35,10 +34,8 @@ from .phasestate import (
 from .spectrum import (
     PauliSpectrum,
     component_direct,
-    component_induced,
     full_spectrum,
     rank_moment,
-    star_trace_sum,
 )
 from .magic import (
     MagicReport,
@@ -46,10 +43,8 @@ from .magic import (
     pl_moment,
     robustness_lower_bound,
     sre,
-    sre_star,
 )
 from .ensembles import (
-    CompositionVector,
     EnsembleSpec,
     MomentEstimate,
     avg_m2_p,
@@ -84,7 +79,6 @@ __all__ = [
     "MagicReport",
     "EnsembleSpec",
     "MomentEstimate",
-    "CompositionVector",
     "SymmetryClass",
     "build",
     "from_masks",
@@ -94,20 +88,16 @@ __all__ = [
     "empty",
     "degree_profile",
     "induced_full",
-    "induced_star",
     "from_hypergraph",
     "apply_cz",
     "apply_stabilizer",
     "stabilizer_word",
     "phase_trace",
     "component_direct",
-    "component_induced",
     "full_spectrum",
-    "star_trace_sum",
     "rank_moment",
     "pl_moment",
     "sre",
-    "sre_star",
     "degree_bound",
     "robustness_lower_bound",
     "sample",

@@ -1,9 +1,10 @@
 """Simulation budgets with environment overrides.
 
 Phase tables cost 2^n bits.  The spectrum budget is where `exact` moves
-graphs whose edges have at most three vertices from the n 4^n Walsh pass
-(O(2^n) memory) to the rank route; states with larger edges stay on the
-Walsh pass up to its exact range, n <= 24.  It also bounds the 4^n words
+graphs whose edges have at most three vertices from the Walsh pass (about
+2^{2.5n} flops of matrix products, O(2^n) memory) to the rank route;
+states with larger edges stay on the Walsh pass up to its exact range,
+n <= 24.  It also bounds the 4^n words
 of `full_spectrum` and `--dump-spectrum`, which hold the whole table.
 The defaults keep casual calls from accidentally requesting terabytes or
 days; each can be raised per call or via environment variables.

@@ -112,7 +112,7 @@ def _emit(args, header: list[str], columns: list[str], rows: list[dict]) -> None
 
 def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int | None,
                    dump_path: str | None) -> list[magic.MagicReport]:
-    """One table per state, every alpha evaluated from it.
+    """One table of |W| counts per state, every alpha evaluated from it.
 
     `--dump-spectrum` builds the full spectrum.  Graphs whose edges have at
     most three vertices take the rank-class route above the spectrum
@@ -123,17 +123,17 @@ def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int |
         spec = spectrum.full_spectrum(from_hypergraph(g, budget_override), budget_override)
         with open(dump_path, "w", encoding="utf-8") as fh:
             spectrum.dump_csv(spec, fh)
-        hist = spec.magnitude_histogram()
+        counts, method = spectrum.sparse_counts(spec.magnitude_histogram()), magic.METHOD_DIRECT
     elif g.n > _budget.spectrum_budget(budget_override) and g.max_edge_size() <= 3:
         _budget.check(g.n, _budget.sim_budget(budget_override), "rank-class moment")
-        ranks = spectrum.rank_histogram(g)
-        return [magic.sre_from_moment(spectrum.moment_from_ranks(ranks, g.n, a), a,
-                                      magic.METHOD_RANK) for a in alphas]
+        counts = spectrum.rank_magnitudes(spectrum.rank_histogram(g), g.n)
+        method = magic.METHOD_RANK
     else:
         spectrum.walsh_gate(g.n, "Walsh spectrum")
         hist = spectrum.walsh_magnitudes(from_hypergraph(g, budget_override))
-    return [magic.sre_from_moment(magic.moment_from_magnitudes(hist, g.n, a), a,
-                                  magic.METHOD_DIRECT) for a in alphas]
+        counts, method = spectrum.sparse_counts(hist), magic.METHOD_DIRECT
+    return [magic.sre_from_moment(spectrum.moment_from_magnitudes(counts, g.n, a), a, method)
+            for a in alphas]
 
 
 def cmd_exact(args) -> int:
@@ -144,7 +144,8 @@ def cmd_exact(args) -> int:
         row = {
             "alpha": str(alpha),
             "pl_moment": float(report.pl_moment),
-            "pl_moment_exact": str(report.pl_moment) if isinstance(report.pl_moment, Fraction) else "",
+            "pl_moment_exact": str(report.pl_moment)
+            if isinstance(report.pl_moment, Fraction) else None,
             "sre": report.sre,
             "method": report.method,
             "degree_bound": magic.degree_bound(g, alpha) if alpha >= 2 else None,
@@ -164,62 +165,34 @@ def cmd_ensemble(args) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"probability {args.p} outside [0, 1]")
     rows = []
-    columns = ["c", "p", "n", "alpha", "method", "value", "stderr", "samples",
-               "bound_upper", "sre_lower_bound"]
     for alpha in alphas:
-        bound = None
-        if alpha >= 2 and alpha.denominator == 1:
-            bound = ensembles.bound_general(args.c, int(alpha), args.n)
+        bound = (ensembles.bound_general(args.c, int(alpha), args.n)
+                 if alpha >= 2 and alpha.denominator == 1 else None)
+        stderr = samples = None
         if args.samples:
             est = ensembles.monte_carlo_moment(
                 ensembles.EnsembleSpec(args.c, args.p, args.n, args.seed),
                 alpha, args.samples, jobs=args.jobs, budget=args.budget,
             )
-            rows.append({
-                "c": args.c, "p": args.p, "n": args.n, "alpha": str(alpha),
-                "method": "monte-carlo", "value": est.mean, "stderr": est.stderr,
-                "samples": est.samples, "bound_upper": bound,
-                "sre_lower_bound": ensembles.jensen_sre_lower_bound(est.mean, alpha)
-                if alpha > 1 and est.mean > 0 else None,
-            })
+            method, value, stderr, samples = "monte-carlo", est.mean, est.stderr, est.samples
         elif args.exact:
-            val = ensembles.exact_average(args.n, args.c, Fraction(args.p), alpha)
-            rows.append({
-                "c": args.c, "p": args.p, "n": args.n, "alpha": str(alpha),
-                "method": "exact-enumeration", "value": float(val), "stderr": None,
-                "samples": None, "bound_upper": bound,
-                "sre_lower_bound": ensembles.jensen_sre_lower_bound(val, alpha)
-                if alpha > 1 else None,
-            })
+            method = "exact-enumeration"
+            value = ensembles.exact_average(args.n, args.c, Fraction(args.p), alpha)
         else:
             if args.c != 3 or alpha != 2:
                 raise UsageError("--theory covers the c=3, alpha=2 composition formula")
-            val = ensembles.avg_m2_p(args.n, args.p, budget=args.budget)
-            rows.append({
-                "c": args.c, "p": args.p, "n": args.n, "alpha": str(alpha),
-                "method": "theory", "value": float(val), "stderr": None,
-                "samples": None, "bound_upper": bound,
-                "sre_lower_bound": ensembles.jensen_sre_lower_bound(val, alpha),
-            })
+            method, value = "theory", ensembles.avg_m2_p(args.n, args.p, budget=args.budget)
+        rows.append({
+            "c": args.c, "p": args.p, "n": args.n, "alpha": str(alpha), "method": method,
+            "value": float(value), "stderr": stderr, "samples": samples, "bound_upper": bound,
+            "sre_lower_bound": ensembles.jensen_sre_lower_bound(value, alpha)
+            if alpha > 1 and value > 0 else None,
+        })
     header = _provenance(args, {"c": args.c, "p": args.p, "n": args.n, "alpha": args.alpha,
                                 "samples": args.samples, "exact": args.exact,
                                 "theory": args.theory, "jobs": args.jobs})
-    if getattr(args, "format", "csv") == "json" and args.samples:
-        # moment-estimate JSON mirrors the documented schema
-        payload = [{
-            "c": args.c, "p": args.p, "n": args.n, "alpha": str(a["alpha"]),
-            "samples": a["samples"], "mean": a["value"], "stderr": a["stderr"],
-            "seed": args.seed,
-        } for a in rows]
-        text = json.dumps({"provenance": {"version": __version__, "seed": args.seed},
-                           "estimates": payload}, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    _emit(args, header, columns, rows)
+    _emit(args, header, ["c", "p", "n", "alpha", "method", "value", "stderr", "samples",
+                         "bound_upper", "sre_lower_bound"], rows)
     return EXIT_OK
 
 
@@ -335,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=20240517, help="base RNG seed")
         sp.add_argument("--jobs", type=int, default=default_jobs,
                         help="worker parallelism (env HYPERMAGIC_JOBS)")
+    for sp in (p_exact, p_ens, p_sweep):  # verify prints verdicts, not rows
         sp.add_argument("--budget", type=int, default=None, help="qubit budget override")
         sp.add_argument("--output", help="write to file instead of stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")

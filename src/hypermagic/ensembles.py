@@ -24,9 +24,10 @@ import numpy as np
 
 from . import budget as _budget
 from .hypergraph import Hypergraph, c_complete, from_masks
-from .magic import log2_of, moment_from_magnitudes
+from .magic import log2_of
 from .phasestate import from_hypergraph
-from .spectrum import rank_moment, walsh_gate, walsh_magnitudes
+from .spectrum import (moment_from_magnitudes, rank_moment, sparse_counts, walsh_gate,
+                       walsh_magnitudes)
 
 COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
@@ -53,14 +54,6 @@ class MomentEstimate:
     stderr: float
     samples: int
     alpha: Fraction
-
-
-@dataclass(frozen=True)
-class CompositionVector:
-    """8-part split of the vertex count with its triple-flip count."""
-
-    kappa: tuple[int, int, int, int, int, int, int, int]
-    f_value: int
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ def state_moment(g: Hypergraph, alpha) -> Fraction | float:
     if g.max_edge_size() <= 3:
         return rank_moment(g, alpha)
     walsh_gate(g.n, "Walsh moment")
-    return moment_from_magnitudes(walsh_magnitudes(from_hypergraph(g)), g.n, alpha)
+    return moment_from_magnitudes(sparse_counts(walsh_magnitudes(from_hypergraph(g))), g.n, alpha)
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -399,10 +392,6 @@ def composition_f(kappa: tuple[int, ...]) -> int:
         + k3p * k1m * k2m
         + k1p * k2p * k3p
     )
-
-
-def composition_vector(kappa: tuple[int, ...]) -> CompositionVector:
-    return CompositionVector(tuple(kappa), composition_f(tuple(kappa)))
 
 
 _PAIR_ODD = np.array(

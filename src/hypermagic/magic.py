@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .hypergraph import Hypergraph, degree_profile
-from .spectrum import PauliSpectrum, positive_alpha, rank_moment, star_trace_sum
+from .spectrum import (PauliSpectrum, moment_from_magnitudes, rank_moment, sparse_counts,
+                       star_trace_sum)
 
 METHOD_DIRECT = "direct-spectrum"
 METHOD_STAR = "star-trace"
@@ -39,26 +38,7 @@ def log2_of(value) -> float:
 
 def pl_moment(spectrum: PauliSpectrum, alpha) -> Fraction | float:
     """2^-n sum over Paulis of the squared component to the power alpha."""
-    return moment_from_magnitudes(spectrum.magnitude_histogram(), spectrum.n, alpha)
-
-
-def moment_from_magnitudes(hist: np.ndarray, n: int, alpha) -> Fraction | float:
-    """PL-moment from a magnitude histogram, hist[m] = #{(x, z): |W[x, z]| = m}.
-
-    The squared component of a Pauli is m^2 / 4^n, so the moment is
-    2^-n sum_m hist[m] (m^2 / 4^n)^alpha: exact when 2*alpha is an
-    integer (integer powers of m), a correctly rounded float sum otherwise.
-    """
-    alpha = positive_alpha(alpha)
-    mags = np.flatnonzero(hist).tolist()
-    counts = hist[mags].tolist()
-    if (2 * alpha).denominator == 1:
-        e = int(2 * alpha)
-        num = sum(c * m**e for m, c in zip(mags, counts))
-        return Fraction(num, 2 ** (n * (1 + e)))
-    scale = float(4**n)
-    total = math.fsum(float(c) * (float(m * m) / scale) ** float(alpha) for m, c in zip(mags, counts))
-    return total / 2**n
+    return moment_from_magnitudes(sparse_counts(spectrum.magnitude_histogram()), spectrum.n, alpha)
 
 
 def sre_from_moment(moment, alpha, method: str) -> MagicReport:

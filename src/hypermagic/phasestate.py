@@ -41,12 +41,11 @@ class PhaseState:
 class StabilizerWord:
     """A generalized stabilizer: X mask times a product of phase gates.
 
-    The selector `s` equals the X part exactly; `phase_edges` is the
+    The X part equals the generator selector; `phase_edges` is the
     mod-2-reduced multiset of controlled-Z supports; `sign` carries the
     accumulated -1 factors from gates whose support emptied out.
     """
 
-    s: int
     x_part: int
     phase_edges: tuple[int, ...]
     sign: int
@@ -101,7 +100,7 @@ def stabilizer_word(g: Hypergraph, s: int) -> StabilizerWord:
             else:
                 acc[target] = acc.get(target, 0) ^ 1
     edges = tuple(sorted(m for m, v in acc.items() if v))
-    return StabilizerWord(s=s, x_part=s, phase_edges=edges, sign=-1 if minus_count else 1)
+    return StabilizerWord(x_part=s, phase_edges=edges, sign=-1 if minus_count else 1)
 
 
 def _xor_permute_table(table: int, n: int, s: int) -> int:

@@ -20,10 +20,16 @@ or more vertices.
 `rank_moment` evaluates the moment in closed form per X mask for graphs
 whose edges have at most three vertices, from the GF(2) rank of the
 induced pair-edge form; `rank_histogram` ranks the forms of all masks by
-one batched elimination.  `star_trace_sum`, the moment accumulator over
-the simplified induced graphs with one Walsh transform per X mask, and
-`component_induced` are oracles only: the tests and `verify` check the
-production routes against them.
+one batched elimination.
+
+`moment_from_magnitudes` is the one production moment evaluator: every
+route hands it sparse |W| counts as Python ints, through `sparse_counts`
+(Walsh histograms) or `rank_magnitudes` (rank histograms).
+
+`star_trace_sum`, the moment accumulator over the simplified induced
+graphs with one Walsh transform per X mask, and `component_induced` are
+oracles only: the tests and `verify` check the production routes against
+them.
 """
 
 from __future__ import annotations
@@ -89,6 +95,28 @@ def positive_alpha(alpha) -> Fraction:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return alpha
+
+
+def moment_from_magnitudes(counts: dict[int, int], n: int, alpha) -> Fraction | float:
+    """PL-moment from sparse |W| counts, counts[m] = #{(x, z): |W[x, z]| = m}.
+
+    The squared component of a Pauli is m^2 / 4^n, so the moment is
+    2^-n sum_m counts[m] (m^2 / 4^n)^alpha: exact when 2*alpha is an
+    integer (integer powers of m), a correctly rounded float sum otherwise.
+    Every production route hands its counts, as Python ints, to this sum.
+    """
+    alpha = positive_alpha(alpha)
+    if (2 * alpha).denominator == 1:
+        e = int(2 * alpha)
+        return Fraction(sum(c * m**e for m, c in counts.items()), 2 ** (n * (1 + e)))
+    a, scale = float(alpha), 4**n
+    return math.fsum(c * (m * m / scale) ** a for m, c in counts.items()) / 2**n
+
+
+def sparse_counts(hist: np.ndarray) -> dict[int, int]:
+    """{m: hist[m]} for every nonzero magnitude m with a nonzero count."""
+    mags = np.flatnonzero(hist[1:]) + 1
+    return dict(zip(mags.tolist(), hist[mags].tolist()))
 
 
 def component_direct(state: PhaseState, p: PauliIndex) -> Fraction:
@@ -188,8 +216,8 @@ def full_spectrum(state: PhaseState, budget: int | None = None) -> PauliSpectrum
 def walsh_magnitudes(state: PhaseState) -> np.ndarray:
     """hist[m] = number of Paulis (x, z) with |W[x, z]| = m, for m in [0, 2^n].
 
-    The moment of any order follows from this histogram (see
-    `magic.moment_from_magnitudes`).  Memory is O(2^n + block): no 4^n
+    The moment of any order follows from its `sparse_counts` (see
+    `moment_from_magnitudes`).  Memory is O(2^n + block): no 4^n
     table is built.  Each call checks Parseval, sum_m hist[m] m^2 = 2^{3n}.
     """
     n = state.n
@@ -197,8 +225,7 @@ def walsh_magnitudes(state: PhaseState) -> np.ndarray:
     hist = np.zeros((1 << n) + 1, dtype=np.int64)
     for _, w in blocks:
         hist += np.bincount(np.abs(w).astype(np.intp).ravel(), minlength=hist.size)
-    mags = np.flatnonzero(hist)
-    if sum(int(hist[m]) * m * m for m in mags.tolist()) != 2 ** (3 * n):
+    if sum(c * m * m for m, c in sparse_counts(hist).items()) != 2 ** (3 * n):
         raise AssertionError("Walsh magnitudes violate Parseval's identity")
     return hist
 
@@ -298,6 +325,11 @@ def rank_histogram(g: Hypergraph, chunk: int = 1 << 16) -> np.ndarray:
     return hist
 
 
+def rank_magnitudes(hist: np.ndarray, n: int) -> dict[int, int]:
+    """|W| counts of a `rank_histogram`: a rank-r mask has 2^r Paulis of |W| = 2^{n-r/2}."""
+    return {1 << (n - r // 2): count << r for r, count in enumerate(hist.tolist()) if count}
+
+
 def rank_moment(g: Hypergraph, alpha):
     """PL-moment m_alpha = 2^-n sum_x 2^{(1-alpha) rank(B(x))}.
 
@@ -306,24 +338,7 @@ def rank_moment(g: Hypergraph, alpha):
     2^r points, so sum_z |Tr|^{2a} = 2^{2an + (1-a) r}.  Exact Fractions
     whenever 2*alpha is an integer.
     """
-    return moment_from_ranks(rank_histogram(g), g.n, positive_alpha(alpha))
-
-
-def moment_from_ranks(hist: np.ndarray, n: int, alpha):
-    """The `rank_moment` sum over a `rank_histogram`, for any order alpha."""
-    alpha = positive_alpha(alpha)
-    if (2 * alpha).denominator == 1:
-        total = Fraction(0)
-        for r, count in enumerate(hist.tolist()):
-            if count:
-                exponent = (1 - alpha) * r
-                assert exponent.denominator == 1
-                total += count * Fraction(2) ** int(exponent)
-        return total / (1 << n)
-    total_f = math.fsum(
-        count * 2.0 ** ((1 - float(alpha)) * r) for r, count in enumerate(hist.tolist()) if count
-    )
-    return total_f / (1 << n)
+    return moment_from_magnitudes(rank_magnitudes(rank_histogram(g), g.n), g.n, alpha)
 
 
 def dump_csv(spectrum: PauliSpectrum, stream: IO[str]) -> None:

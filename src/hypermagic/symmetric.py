@@ -8,15 +8,15 @@ inside (m1) and outside (m0) the X support.  One representative per
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import budget as _budget
 from .bitops import _bit_table, superset_table
-from .hypergraph import Hypergraph, _edges_at_least_two
+from .hypergraph import Hypergraph, _edges_at_least_two, _one_edges_full
 from .magic import METHOD_CLOSED, MagicReport, sre_from_moment
+from .spectrum import moment_from_magnitudes
 
 MAX_REDUCED_N = 40
 
@@ -58,20 +58,6 @@ def complete_layer_sizes(g: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(by_size))
 
 
-def _one_edge_offsets(g: Hypergraph, x: int) -> int:
-    """Mask delta(x): vertex j flagged iff the x-products over its edges sum odd."""
-    delta = 0
-    for j in range(g.n):
-        bit = 1 << j
-        t = 0
-        for e in g.edges:
-            if e & bit and e != bit and (e & ~bit) & ~x == 0:
-                t ^= 1
-        if t:
-            delta |= bit
-    return delta
-
-
 def reduced_traces(g: Hypergraph, budget: int | None = None) -> list[tuple[SymmetryClass, int]]:
     """Signed induced-graph trace per symmetry class at one representative."""
     complete_layer_sizes(g)
@@ -86,7 +72,7 @@ def reduced_traces(g: Hypergraph, budget: int | None = None) -> list[tuple[Symme
         pair_table = 0
         for e2 in _edges_at_least_two(g, x):
             pair_table ^= superset_table(n, e2)
-        delta = _one_edge_offsets(g, x)
+        delta = sum(_one_edges_full(g, x, 0))
         for m1 in range(m + 1):
             for m0 in range(n - m + 1):
                 z = ((1 << m1) - 1) | (((1 << m0) - 1) << m)
@@ -111,20 +97,10 @@ def reduced_spectrum(
 
 def pl_moment_reduced(g: Hypergraph, alpha, budget: int | None = None):
     """Class-weighted PL-moment; must equal the full-spectrum moment."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    traces = reduced_traces(g, budget)
-    n = g.n
-    two_alpha = 2 * alpha
-    if two_alpha.denominator == 1:
-        e = int(two_alpha)
-        num = sum(cls.multiplicity * abs(t) ** e for cls, t in traces)
-        return Fraction(num, 2 ** (n * (1 + e)))
-    scale = 2.0 ** float(n * (1 + two_alpha))
-    return math.fsum(
-        cls.multiplicity * abs(float(t)) ** float(two_alpha) for cls, t in traces
-    ) / scale
+    counts: dict[int, int] = {}
+    for cls, t in reduced_traces(g, budget):
+        counts[abs(t)] = counts.get(abs(t), 0) + cls.multiplicity
+    return moment_from_magnitudes(counts, g.n, alpha)
 
 
 def _require_supported_alpha(alpha) -> Fraction:

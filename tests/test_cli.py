@@ -172,11 +172,12 @@ class TestExact:
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
-            capsys, "exact", "--builtin", "ccz", "--alpha", "2", "--format", "json"
+            capsys, "exact", "--builtin", "ccz", "--alpha", "2,1/3", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["rows"][0]["pl_moment_exact"] == "11/32"
+        assert payload["rows"][1]["pl_moment_exact"] is None  # an empty CSV cell
 
     def test_spectrum_dump(self, capsys, tmp_path):
         dump = tmp_path / "ccz_spectrum.csv"
@@ -287,15 +288,19 @@ class TestEnsembleCmd:
         assert math.isclose(value, float(closed_m2_uniform(30)), rel_tol=1e-12)
 
     def test_monte_carlo_json_schema(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "ensemble", "-c", "3", "-p", "0.5", "-n", "6", "--samples", "16",
-            "--alpha", "2", "--seed", "7", "--format", "json",
-        )
+        argv = ["ensemble", "-c", "3", "-p", "0.5", "-n", "6", "--samples", "16",
+                "--alpha", "2,1/2", "--seed", "7"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        est = payload["estimates"][0]
-        assert set(est) == {"c", "p", "n", "alpha", "samples", "mean", "stderr", "seed"}
-        assert est["samples"] == 16 and est["seed"] == 7
+        assert payload["provenance"] == {"version": "0.1.0", "command": "ensemble", "seed": 7}
+        # the same rows as the CSV output, one per alpha, keyed by its columns
+        code, out, _ = run_cli(capsys, *argv)
+        columns, *lines = data_rows(out)
+        assert [list(row) for row in payload["rows"]] == [columns.split(",")] * 2
+        for row, line in zip(payload["rows"], lines, strict=True):
+            assert ",".join("" if v is None else str(v) for v in row.values()) == line
+        assert [row["samples"] for row in payload["rows"]] == [16, 16]
 
     @pytest.mark.parametrize("argv", sorted(GOLDEN_ENSEMBLE), ids=lambda a: f"c{a[1]}-n{a[3]}")
     def test_samples_golden_stdout_without_per_mask_routes(self, capsys, monkeypatch, argv):
@@ -376,6 +381,16 @@ class TestVerifyCmd:
         code, out, _ = run_cli(capsys, "verify", "prop1")
         assert code == 3
         assert "FAIL forced" in out
+
+    @pytest.mark.parametrize("flag", ["--output", "--format", "--budget"])
+    def test_flags_it_does_not_read_are_refused(self, capsys, tmp_path, flag):
+        target = tmp_path / "verdicts.txt"
+        value = {"--output": str(target), "--format": "json", "--budget": "8"}[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "counting", flag, value])
+        assert exc.value.code == 2
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -16,7 +16,6 @@ from hypermagic.ensembles import (
     bound_general,
     closed_m2_uniform,
     composition_f,
-    composition_vector,
     concentration_check,
     counting_N,
     counting_N_tau,
@@ -298,11 +297,6 @@ class TestCompositionFormula:
             kappa = tuple(b - a for a, b in zip([0] + cut, cut + [n]))
             assert sum(kappa) == n
             assert composition_f(kappa) == odd_triples_bruteforce(kappa)
-
-    def test_vector_wrapper(self):
-        cv = composition_vector((0, 0, 1, 1, 1, 0, 0, 0))
-        assert cv.f_value == composition_f(cv.kappa)
-        assert sum(cv.kappa) == 3
 
     def test_composition_iteration_counts(self):
         assert sum(1 for _ in _compositions(5, 8)) == comb(12, 7)

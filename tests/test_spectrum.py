@@ -1,6 +1,7 @@
 """Spectrum routes: direct, induced, Walsh-Hadamard batch, rank classes."""
 
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -17,8 +18,11 @@ from hypermagic.spectrum import (
     component_induced,
     dump_csv,
     full_spectrum,
+    moment_from_magnitudes,
     rank_histogram,
+    rank_magnitudes,
     rank_moment,
+    sparse_counts,
     star_trace_sum,
     walsh_blocks,
     walsh_magnitudes,
@@ -391,6 +395,51 @@ class TestBatchedRankHistogram:
         assert expected[2:].sum() > 0
         assert np.array_equal(rank_histogram(g, chunk=3 << 12), expected)
         assert np.array_equal(rank_histogram(g), expected)
+
+
+class TestMomentEvaluator:
+    def test_rank_magnitudes_match_walsh_n1_to_10(self, rng):
+        for n in range(1, 11):
+            graphs = [empty(n), small_edge_graph(n, rng, sizes=(1, 2)), small_edge_graph(n, rng)]
+            if n >= 3:
+                graphs += [c_complete(n, 3), random_uniform3(n, rng)]
+            for g in graphs:
+                hist = walsh_magnitudes(from_hypergraph(g))
+                nonzero = {m: int(c) for m, c in enumerate(hist) if m and c}
+                assert rank_magnitudes(rank_histogram(g), n) == nonzero, g
+                assert sparse_counts(hist) == nonzero, g
+
+    def test_ccz_counts_give_exact_moments(self):
+        counts = rank_magnitudes(rank_histogram(CCZ), 3)
+        assert counts == {8: 1, 4: 28}
+        assert moment_from_magnitudes(counts, 3, 2) == Fraction(11, 32)
+        assert moment_from_magnitudes(counts, 3, Fraction(1, 2)) == Fraction(15, 8)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(4, 5), Fraction(7, 3)])
+    def test_float_moment_against_60_digit_reference(self, rng, alpha):
+        from hypermagic.symmetric import pl_moment_reduced, reduced_traces
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = Decimal(alpha.numerator) / Decimal(alpha.denominator)
+            cases = []
+            for n in range(3, 13):
+                # rank route; reference 2^-n sum_r hist[r] 2^{(1-alpha) r} from the ranks
+                g = random_uniform3(n, rng)
+                hist = rank_histogram(g).tolist()
+                want = sum(c * Decimal(2) ** ((1 - a) * r) for r, c in enumerate(hist)) / 2**n
+                cases.append((rank_moment(g, alpha), want))
+            for n in range(3, 11):
+                # reduced route; reference 2^-n(1+2 alpha) sum mult |t|^{2 alpha} per class
+                layers = c_complete(n, 2).edges + c_complete(n, 3).edges
+                for g in (c_complete(n, 3), c_complete(n, n), from_masks(n, layers)):
+                    want = sum(cls.multiplicity * Decimal(abs(t)) ** (2 * a)
+                               for cls, t in reduced_traces(g) if t)
+                    want /= Decimal(2) ** (n * (1 + 2 * a))
+                    cases.append((pl_moment_reduced(g, alpha), want))
+            for got, want in cases:
+                assert isinstance(got, float)
+                assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (got, want)
 
 
 class TestCsvDump:

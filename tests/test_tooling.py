@@ -1,8 +1,9 @@
-"""The benchmark tracer's layer names must name functions of the package.
+"""Names that tooling and users import must resolve.
 
 `perfbench/tracer.py` wraps each name in `LAYERS` by looking it up at
 install time, so a renamed or deleted function would only fail once a
-traced benchmark run starts.
+traced benchmark run starts.  The package's `__all__` names production
+entry points only; the oracles stay importable from their own modules.
 """
 
 import importlib
@@ -21,3 +22,22 @@ def test_every_traced_layer_is_a_package_function():
         mod_name, fn_name = layer.split(".")
         fn = getattr(importlib.import_module(f"hypermagic.{mod_name}"), fn_name, None)
         assert callable(fn), f"{layer} names no function of the package"
+
+
+# oracle -> the module that keeps it
+ORACLES = {
+    "star_trace_sum": "spectrum",
+    "sre_star": "magic",
+    "component_induced": "spectrum",
+    "induced_star": "hypergraph",
+}
+
+
+def test_public_names_resolve_and_exclude_oracles():
+    import hypermagic
+
+    for name in hypermagic.__all__:
+        assert hasattr(hypermagic, name), f"{name} is in __all__ but not in the package"
+    assert not set(hypermagic.__all__) & {*ORACLES, "CompositionVector"}
+    for name, mod_name in ORACLES.items():
+        assert callable(getattr(importlib.import_module(f"hypermagic.{mod_name}"), name))
