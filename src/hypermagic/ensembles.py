@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from multiprocessing import get_context
 
@@ -419,16 +419,6 @@ def odd_triples_bruteforce(kappa: tuple[int, ...]) -> int:
     return total
 
 
-def _compositions(total: int, parts: int):
-    """All splits of `total` into `parts` non-negative integers, colex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in _compositions(total - last, parts - 1):
-            yield rest + (last,)
-
-
 def _avg_m2_half_exact(n: int) -> Fraction:
     """p = 1/2: only f = 0 splits survive; their multinomial mass in closed form.
 
@@ -446,18 +436,33 @@ def _avg_m2_half_exact(n: int) -> Fraction:
 
 
 def _avg_m2_exact(n: int, p: Fraction) -> Fraction:
-    """Literal composition sum with exact rational arithmetic (small n)."""
+    """Composition sum in exact rational arithmetic (small n).
+
+    The multinomial mass is collected as integer coefficients of beta^f,
+    beta = 1 - 2p, over the sorted class sizes k1 <= k2 <= k3 with orbit
+    weights (see _avg_m2_log).  composition_f is linear in the class-0 plus
+    part k0p with slope e2 = k1 k2 + k2 k3 + k3 k1, so a plus part of size
+    j adds j e2 flips with weight C(k0, j).  The polynomial is evaluated
+    once.
+    """
+    coef: dict[int, int] = {}
+    for k1 in range(n // 3 + 1):
+        for k2 in range(k1, (n - k1) // 2 + 1):
+            for k3 in range(k2, n - k1 - k2 + 1):
+                k0 = n - k1 - k2 - k3
+                e2 = k1 * k2 + k2 * k3 + k3 * k1
+                orbit = 1 if k1 == k3 else 3 if k1 == k2 or k2 == k3 else 6
+                mult = orbit * comb(n, k0) * comb(n - k0, k1) * comb(k2 + k3, k2)
+                plus0 = [comb(k0, j) for j in range(k0 + 1)]
+                for a, b, c in product(range(k1 + 1), range(k2 + 1), range(k3 + 1)):
+                    f = composition_f((0, k0, a, k1 - a, b, k2 - b, c, k3 - c))
+                    w = mult * comb(k1, a) * comb(k2, b) * comb(k3, c)
+                    for j, cj in enumerate(plus0):
+                        coef[f + j * e2] = coef.get(f + j * e2, 0) + w * cj
     beta = 1 - 2 * p
-    total = Fraction(0)
-    for kappa in _compositions(n, KAPPA_LEN):
-        mult = 1
-        rem = n
-        for part in kappa:
-            mult *= comb(rem, part)
-            rem -= part
-        f = composition_f(kappa)
-        total += mult * beta**f
-    return total / 8**n
+    u, v = beta.numerator, beta.denominator
+    top = max(coef)
+    return Fraction(sum(w * u**f * v ** (top - f) for f, w in coef.items()), v**top * 8**n)
 
 
 def _log2_binom_table(n: int) -> np.ndarray:
@@ -475,6 +480,14 @@ def _avg_m2_log(n: int, p: float) -> float:
     the remaining three x-splits are summed on a vectorized grid.  Two
     log-accumulators track positive and negative mass so that p > 1/2,
     where the base 1 - 2p is negative, stays finite.
+
+    Classes 1..3 enter symmetrically, so only sorted class sizes
+    k1 <= k2 <= k3 are visited, each weighted by its orbit (1, 3 or 6
+    orderings).  For each (k1, k2), about n^2/12 pairs, one broadcast grid
+    over (k3, a, b, c) covers every k3 in [k2, n - k1 - k2] at once, where
+    a, b, c are the x = 1 parts of classes 1..3.  The c axis is padded to
+    the largest k3; the padded cells read log2 C(k3, c) = -inf and add
+    nothing.  The grids hold about C(n + 6, 6)/6 cells in all.
     """
     beta = 1.0 - 2.0 * p
     lb = _log2_binom_table(n)
@@ -484,49 +497,61 @@ def _avg_m2_log(n: int, p: float) -> float:
     acc = [-math.inf, -math.inf]  # log2 of positive and negative mass
 
     def fold(branch: int, logs: np.ndarray) -> None:
+        """Add the sum of 2^logs to acc[branch]; overwrites logs."""
         if logs.size == 0:
             return
         top = float(logs.max())
         if top == -math.inf:
             return
-        chunk = top + math.log2(float(np.exp2(logs - top).sum()))
+        logs -= top
+        # raising terms below 2^-1000 of the largest to 2^-1000 moves the
+        # chunk sum (>= 1) by far less than an ulp, and keeps exp2 off its
+        # slow path for -inf and subnormal results
+        np.maximum(logs, -1000.0, out=logs)
+        chunk = top + math.log2(float(np.exp2(logs, out=logs).sum()))
         acc[branch] = float(np.logaddexp2(acc[branch], chunk))
 
-    for k1 in range(n + 1):
-        for k2 in range(n + 1 - k1):
-            for k3 in range(n + 1 - k1 - k2):
-                k0 = n - k1 - k2 - k3
-                e2 = k1 * k2 + k2 * k3 + k3 * k1
-                base0 = 1.0 + beta**e2  # in [0, 2]
-                if base0 == 0.0 and k0 > 0:
+    ks = np.arange(n + 1)
+    for k1 in range(n // 3 + 1):
+        a = ks[: k1 + 1].reshape(1, -1, 1, 1)
+        for k2 in range(k1, (n - k1) // 2 + 1):
+            k3 = ks[k2 : n - k1 - k2 + 1]
+            k0 = n - k1 - k2 - k3
+            base0 = 1.0 + beta ** (k1 * k2 + k3 * (k1 + k2))  # in [0, 2]
+            live = (base0 > 0.0) | (k0 == 0)
+            if not live.all():
+                k3, k0, base0 = k3[live], k0[live], base0[live]
+                if k3.size == 0:
                     continue
-                w0 = 0.0 if k0 == 0 else k0 * math.log2(base0)
-                logmult = lb[n, k0] + lb[n - k0, k1] + lb[n - k0 - k1, k2]
-                a = np.arange(k1 + 1).reshape(-1, 1, 1)
-                b = np.arange(k2 + 1).reshape(1, -1, 1)
-                c = np.arange(k3 + 1).reshape(1, 1, -1)
-                f = (
-                    a * (k1 - a) * (k2 + k3)
-                    + b * (k2 - b) * (k3 + k1)
-                    + c * (k3 - c) * (k1 + k2)
-                    + a * (k2 - b) * (k3 - c)
-                    + b * (k3 - c) * (k1 - a)
-                    + c * (k1 - a) * (k2 - b)
-                    + a * b * c
-                )
-                logbin = lb[k1, : k1 + 1].reshape(-1, 1, 1) + lb[k2, : k2 + 1].reshape(
-                    1, -1, 1
-                ) + lb[k3, : k3 + 1].reshape(1, 1, -1)
-                if abs_beta > 0:
-                    logs = logmult + w0 + logbin + f * log_abs_beta
-                else:
-                    logs = np.where(f == 0, logmult + w0 + logbin, -np.inf)
-                if negative_base:
-                    odd = (f & 1).astype(bool)
-                    fold(0, logs[~odd].ravel())
-                    fold(1, logs[odd].ravel())
-                else:
-                    fold(0, logs.ravel())
+            pair = k1 == k2
+            orbit = np.where(k3 == k2, 1.0 if pair else 3.0, 3.0 if pair else 6.0)
+            head = (
+                lb[n, k0] + lb[n - k0, k1] + lb[k2 + k3, k2] + np.log2(orbit)
+                + k0 * np.log2(np.where(k0 > 0, base0, 1.0))
+            ).reshape(-1, 1, 1, 1)
+            b = ks[: k2 + 1].reshape(1, 1, -1, 1)
+            c = ks[: k3[-1] + 1].reshape(1, 1, 1, -1)
+            k3 = k3.reshape(-1, 1, 1, 1)
+            # f of the split (0, k0 | a, k1-a | b, k2-b | c, k3-c) in three
+            # parts, each missing one axis, so that only sums are 4-D
+            f_k3ab = (a * (k1 - a) * (k2 + k3) + b * (k2 - b) * (k1 + k3)
+                      + k3 * (a * (k2 - b) + b * (k1 - a)))
+            f_abc = c * (k1 - 2 * a) * (k2 - 2 * b)
+            f_k3c = (k1 + k2) * c * (k3 - c)
+            logbin = head + lb[k1, a] + lb[k2, b]
+            if abs_beta > 0:
+                logs = (f_k3ab * log_abs_beta + logbin) + f_abc * log_abs_beta
+                logs += f_k3c * log_abs_beta + lb[k3, c]
+            else:
+                f = f_k3ab + f_abc + f_k3c
+                logs = np.where(f == 0, logbin + lb[k3, c], -np.inf)
+            if negative_base:
+                odd = (f_k3ab & 1).astype(bool) ^ (f_abc & 1).astype(bool)
+                odd ^= (f_k3c & 1).astype(bool)
+                fold(0, logs[~odd])
+                fold(1, logs[odd])
+            else:
+                fold(0, logs)
     pos = 2.0 ** (acc[0] - 3 * n) if acc[0] > -math.inf else 0.0
     neg = 2.0 ** (acc[1] - 3 * n) if acc[1] > -math.inf else 0.0
     return pos - neg

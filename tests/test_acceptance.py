@@ -151,8 +151,9 @@ def test_criterion_6_figure_sweep_slope(capsys):
 
     The target at each n is 0.999 * cap(n), cap(n) = -log2 closed_m2_uniform(n)
     being the maximum of the Jensen bound over p in [0, 1/2].  The figure's
-    n = 50..500 is not reproduced: one exact composition-sum evaluation
-    already takes seconds at n = 64 and its grid grows as n^6/720.  The
+    n = 50..500 is not reproduced: the composition-sum grid has about
+    C(n + 6, 6)/6 cells, one evaluation takes 0.2-0.5 s at n = 64 (2-core
+    Xeon VM), and n = 500 would need about 4e12 cells.  The
     leading-order slope is (4/9) ln(1/(0.001 ln 2)) ~ 3.23, approached from
     below; n = 16..48 fits ~2.95.
     """

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from hypermagic import bitops, phasestate, spectrum
+from hypermagic import bitops, ensembles, phasestate, spectrum
 from hypermagic.cli import main, parse_builtin
 from hypermagic.hypergraph import build, c_complete, from_masks, to_text
 
@@ -287,6 +287,14 @@ class TestEnsembleCmd:
         value = float(data_rows(out)[1].split(",")[5])
         assert math.isclose(value, float(closed_m2_uniform(30)), rel_tol=1e-12)
 
+    def test_theory_runs_one_evaluation(self, capsys, monkeypatch):
+        evals = count_calls(monkeypatch, ensembles, "_avg_m2_log")
+        code, out, _ = run_cli(capsys, "ensemble", "-c", "3", "-p", repr(1001 / 4096), "-n", "16",
+                               "--theory", "--alpha", "2")
+        assert code == 0
+        assert data_rows(out)[1].split(",")[4] == "theory"
+        assert evals[0] == 1
+
     def test_monte_carlo_json_schema(self, capsys):
         argv = ["ensemble", "-c", "3", "-p", "0.5", "-n", "6", "--samples", "16",
                 "--alpha", "2,1/2", "--seed", "7"]
@@ -339,6 +347,24 @@ class TestSweep:
         assert all(r[5] == "ok" for r in rows)
         ps = [float(r[2]) for r in rows]
         assert ps[1] < ps[0]  # needed probability falls with n at fixed gamma
+
+    def test_one_evaluation_per_solver_step(self, capsys, monkeypatch):
+        evals = count_calls(monkeypatch, ensembles, "_avg_m2_log")
+        points = []
+        neg_log2_avg = ensembles._neg_log2_avg
+
+        def recorded(n, p):
+            points.append(p)
+            return neg_log2_avg(n, p)
+
+        monkeypatch.setattr(ensembles, "_neg_log2_avg", recorded)
+        code, out, _ = run_cli(capsys, "sweep", "--gamma", "0.45", "--n-range", "9")
+        assert code == 0
+        assert data_rows(out)[1].split(",")[5] == "ok"
+        # the p = 1/2 cap is exact; every solver step inside (0, 1/2) is one evaluation
+        steps = [p for p in points if 0.0 < p < 0.5]
+        assert points.count(0.5) == 1 and len(steps) == len(points) - 1
+        assert evals[0] == len(steps) > 0
 
     def test_gamma_ordering(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--gamma", "0.3,0.5", "--n-range", "10")

@@ -5,6 +5,7 @@ import os
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from hypermagic import ensembles
@@ -33,7 +34,7 @@ from hypermagic.ensembles import (
     _avg_m2_exact,
     _avg_m2_half_exact,
     _avg_m2_log,
-    _compositions,
+    _log2_binom_table,
 )
 
 
@@ -289,6 +290,92 @@ class TestConcentration:
         assert a == b
 
 
+# ---------------------------------------------------------------------------
+# references for the composition sum: every ordered split, no symmetry used
+
+
+def _compositions(total: int, parts: int):
+    """All splits of `total` into `parts` non-negative integers, colex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for rest in _compositions(total - last, parts - 1):
+            yield rest + (last,)
+
+
+def literal_avg_m2(n: int, p: Fraction) -> Fraction:
+    """The composition sum term by term over all C(n + 7, 7) 8-part splits."""
+    beta = 1 - 2 * p
+    total = Fraction(0)
+    for kappa in _compositions(n, 8):
+        mult = 1
+        rem = n
+        for part in kappa:
+            mult *= comb(rem, part)
+            rem -= part
+        total += mult * beta ** composition_f(kappa)
+    return total / 8**n
+
+
+def per_triple_avg_m2_log(n: int, p: float) -> float:
+    """Signed log-space sum with one grid per ordered (k1, k2, k3)."""
+    beta = 1.0 - 2.0 * p
+    lb = _log2_binom_table(n)
+    abs_beta = abs(beta)
+    log_abs_beta = math.log2(abs_beta) if abs_beta > 0 else -math.inf
+    negative_base = beta < 0
+    acc = [-math.inf, -math.inf]
+
+    def fold(branch: int, logs: np.ndarray) -> None:
+        if logs.size == 0:
+            return
+        top = float(logs.max())
+        if top == -math.inf:
+            return
+        chunk = top + math.log2(float(np.exp2(logs - top).sum()))
+        acc[branch] = float(np.logaddexp2(acc[branch], chunk))
+
+    for k1 in range(n + 1):
+        for k2 in range(n + 1 - k1):
+            for k3 in range(n + 1 - k1 - k2):
+                k0 = n - k1 - k2 - k3
+                e2 = k1 * k2 + k2 * k3 + k3 * k1
+                base0 = 1.0 + beta**e2
+                if base0 == 0.0 and k0 > 0:
+                    continue
+                w0 = 0.0 if k0 == 0 else k0 * math.log2(base0)
+                logmult = lb[n, k0] + lb[n - k0, k1] + lb[n - k0 - k1, k2]
+                a = np.arange(k1 + 1).reshape(-1, 1, 1)
+                b = np.arange(k2 + 1).reshape(1, -1, 1)
+                c = np.arange(k3 + 1).reshape(1, 1, -1)
+                f = (
+                    a * (k1 - a) * (k2 + k3)
+                    + b * (k2 - b) * (k3 + k1)
+                    + c * (k3 - c) * (k1 + k2)
+                    + a * (k2 - b) * (k3 - c)
+                    + b * (k3 - c) * (k1 - a)
+                    + c * (k1 - a) * (k2 - b)
+                    + a * b * c
+                )
+                logbin = lb[k1, : k1 + 1].reshape(-1, 1, 1) + lb[k2, : k2 + 1].reshape(
+                    1, -1, 1
+                ) + lb[k3, : k3 + 1].reshape(1, 1, -1)
+                if abs_beta > 0:
+                    logs = logmult + w0 + logbin + f * log_abs_beta
+                else:
+                    logs = np.where(f == 0, logmult + w0 + logbin, -np.inf)
+                if negative_base:
+                    odd = (f & 1).astype(bool)
+                    fold(0, logs[~odd].ravel())
+                    fold(1, logs[odd].ravel())
+                else:
+                    fold(0, logs.ravel())
+    pos = 2.0 ** (acc[0] - 3 * n) if acc[0] > -math.inf else 0.0
+    neg = 2.0 ** (acc[1] - 3 * n) if acc[1] > -math.inf else 0.0
+    return pos - neg
+
+
 class TestCompositionFormula:
     def test_f_against_bruteforce_triples(self, rng):
         for _ in range(40):
@@ -333,6 +420,29 @@ class TestAvgM2P:
             exact = float(_avg_m2_exact(n, Fraction(p)))
             logv = _avg_m2_log(n, p)
             assert abs(logv - exact) <= 1e-11 * exact
+
+    # p = 1/2 gives beta = 0, p = 1 gives beta = -1 with class-0 bases of 0,
+    # and p > 1/2 a negative base
+    @pytest.mark.parametrize("p", [1e-6, 0.01, 0.25, 0.45, 0.5, 0.55, 0.75, 0.99, 1.0])
+    def test_log_path_matches_per_triple_reference(self, p):
+        for n in range(3, 31):
+            want = per_triple_avg_m2_log(n, p)
+            assert abs(_avg_m2_log(n, p) - want) <= 1e-11 * abs(want), n
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 4), Fraction(27, 50), Fraction(3, 4), Fraction(99, 100), Fraction(1)]
+    )
+    def test_exact_path_equals_literal_sum(self, p):
+        for n in range(1, 10):
+            assert _avg_m2_exact(n, p) == literal_avg_m2(n, p), n
+
+    @pytest.mark.parametrize("p", [0.6, 0.75, 0.99])
+    def test_log_path_near_exact_above_half(self, p):
+        # the alternating sum cancels most for p near 1; Fraction(p) is the
+        # float's exact value, so both paths sum the same polynomial
+        for n in (12, 14, 16):
+            exact = _avg_m2_exact(n, Fraction(p))
+            assert abs(Fraction(_avg_m2_log(n, p)) - exact) <= Fraction(1e-11) * exact, n
 
     def test_log_path_at_half(self):
         for n in (6, 14):
