@@ -164,6 +164,7 @@ def cmd_ensemble(args) -> int:
     alphas = _parse_alphas(args.alpha)
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"probability {args.p} outside [0, 1]")
+    ensembles.EnsembleSpec(args.c, args.p, args.n, args.seed).check()  # 3 <= c <= n, every mode
     rows = []
     for alpha in alphas:
         bound = (ensembles.bound_general(args.c, int(alpha), args.n)

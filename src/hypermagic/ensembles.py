@@ -16,18 +16,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import comb
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import budget as _budget
-from .hypergraph import Hypergraph, c_complete, from_masks
+from .hypergraph import Hypergraph, _c_edges, from_masks
 from .magic import log2_of
 from .phasestate import from_hypergraph
-from .spectrum import (moment_from_magnitudes, rank_moment, sparse_counts, walsh_gate,
-                       walsh_magnitudes)
+from .spectrum import (_RANK_CHUNK, _rank_histograms, moment_from_magnitudes, rank_magnitudes,
+                       rank_moment, sparse_counts, walsh_gate, walsh_magnitudes)
 
 COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
@@ -79,13 +80,51 @@ class EdgeBudgetResult:
 # sampling
 
 
+@lru_cache(maxsize=16)
+def _edge_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-form table of the 3-edges: edge e adds val[e, s] to the flat forms at pos[e, s].
+
+    An edge {i, j, k} sets bit k of row j of B(e_i) for each of its six
+    orderings (the forms of `spectrum._rank_histograms`).  Every such bit
+    belongs to one edge, so the XOR of an edge set's forms is a sum.
+    """
+    orders = [list(permutations(v for v in range(n) if e >> v & 1)) for e in _c_edges(n, 3)]
+    pos = np.array([[i * n + j for i, j, _ in o] for o in orders], dtype=np.intp)
+    val = np.array([[float(1 << k) for _, _, k in o] for o in orders])
+    pos.setflags(write=False)
+    val.setflags(write=False)
+    return pos, val
+
+
+def _batch_forms(n: int, keep: np.ndarray) -> np.ndarray:
+    """Pair forms (graphs, n, n) of the 3-edge sets keep[g], as exact float64 sums."""
+    pos, val = _edge_forms(n)
+    graph, edge = np.nonzero(keep)
+    flat = np.bincount((pos[edge] + graph[:, None] * (n * n)).ravel(),
+                       weights=val[edge].ravel(), minlength=len(keep) * n * n)
+    return flat.reshape(len(keep), n, n)
+
+
+def _keep(spec: EnsembleSpec, index: int) -> np.ndarray:
+    """Which edges of `_c_edges` draw `index` keeps: a stream from (seed, index)."""
+    rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, index])
+    return rng.random(len(_c_edges(spec.n, spec.c))) < spec.p
+
+
 def sample(spec: EnsembleSpec, index: int) -> Hypergraph:
     """Deterministic draw: stream derived from (seed, index), edges in lex order."""
     spec.check()
-    rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, index])
-    edges = c_complete(spec.n, spec.c).edges
-    keep = rng.random(len(edges)) < spec.p
-    return from_masks(spec.n, [e for e, k in zip(edges, keep) if k])
+    edges = _c_edges(spec.n, spec.c)
+    return from_masks(spec.n, [e for e, k in zip(edges, _keep(spec, index)) if k])
+
+
+def _sample_histograms(spec: EnsembleSpec, start: int, stop: int):
+    """Rank histograms of c = 3 draws start..stop-1, in index order, a chunk at a time."""
+    spec.check()
+    per = max(1, _RANK_CHUNK >> spec.n)
+    for s0 in range(start, stop, per):
+        keep = np.array([_keep(spec, i) for i in range(s0, min(s0 + per, stop))])
+        yield from _rank_histograms(_batch_forms(spec.n, keep))
 
 
 def state_moment(g: Hypergraph, alpha) -> Fraction | float:
@@ -112,23 +151,39 @@ def _map_tasks(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _mc_worker(args: tuple[int, float, int, int, int, str]) -> float:
-    c, p, n, seed, index, alpha_repr = args
-    g = sample(EnsembleSpec(c, p, n, seed), index)
-    return float(state_moment(g, Fraction(alpha_repr)))
+def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
+    """`parts` contiguous (start, stop) ranges that cover range(total) in order."""
+    bounds = [total * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _mc_worker(args: tuple[int, float, int, int, int, int, str]) -> list[float]:
+    c, p, n, seed, start, stop, alpha_repr = args
+    spec, alpha = EnsembleSpec(c, p, n, seed), Fraction(alpha_repr)
+    if c == 3:
+        return [float(moment_from_magnitudes(rank_magnitudes(hist, n), n, alpha))
+                for hist in _sample_histograms(spec, start, stop)]
+    return [float(state_moment(sample(spec, i), alpha)) for i in range(start, stop)]
 
 
 def monte_carlo_moment(
     spec: EnsembleSpec, alpha, samples: int, jobs: int = 1, budget: int | None = None
 ) -> MomentEstimate:
-    """i.i.d. mean and standard error of m_alpha over sampled states."""
+    """i.i.d. mean and standard error of m_alpha over sampled states.
+
+    Each worker takes a contiguous range of sample indices.  c = 3 draws are
+    ranked together, a chunk of (sample, mask) columns per elimination;
+    c >= 4 draws run the Walsh kernel one sample at a time.
+    """
     spec.check()
     if samples < 2:
         raise ValueError("need at least two samples for a standard error")
     _budget.check(spec.n, _budget.sim_budget(budget), "Monte Carlo moment")
     alpha = Fraction(alpha)
-    tasks = [(spec.c, spec.p, spec.n, spec.seed, i, str(alpha)) for i in range(samples)]
-    arr = np.asarray(_map_tasks(_mc_worker, tasks, jobs), dtype=np.float64)
+    tasks = [(spec.c, spec.p, spec.n, spec.seed, start, stop, str(alpha))
+             for start, stop in _ranges(samples, pool_workers(jobs, samples))]
+    values = [v for part in _map_tasks(_mc_worker, tasks, jobs) for v in part]
+    arr = np.asarray(values, dtype=np.float64)
     return MomentEstimate(
         mean=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / math.sqrt(samples)),
@@ -144,24 +199,47 @@ def monte_carlo_moment(
 def exact_average(n: int, c: int, p, alpha, tau: int = 1) -> Fraction:
     """Average of m_alpha^tau over all 2^C(n,c) graphs, exactly.
 
-    The weight of a graph with k edges is p^k (1-p)^{C-k}; exact whenever p
-    is given as a Fraction or a dyadic float.
+    The weight of a graph with k edges is p^k (1-p)^{C-k}, one Fraction per
+    k; exact whenever p is given as a Fraction or a dyadic float.  For
+    c = 3, graph index bits pick edges: a chunk of graphs' pair forms is
+    summed from the per-edge form table and ranked by one elimination per
+    chunk of (graph, mask) columns.  Graphs are counted per (edge count,
+    rank histogram), so memory does not grow with 2^C, and each distinct
+    histogram's moment is evaluated once.  Other c run the moment of each
+    graph in turn.
     """
-    edges = c_complete(n, c).edges
+    edges = _c_edges(n, c)
     count = len(edges)
     if count > 22:
         raise _budget.BudgetError(f"enumeration over 2^{count} graphs refused (limit 2^22)")
     pf = Fraction(p)
-    qf = 1 - pf
+    weights = [pf**k * (1 - pf) ** (count - k) for k in range(count + 1)]
     total = Fraction(0)
-    for bits in range(1 << count):
-        chosen = [e for i, e in enumerate(edges) if (bits >> i) & 1]
-        k = len(chosen)
-        weight = pf**k * qf ** (count - k)
-        if weight == 0:
-            continue
-        m = state_moment(from_masks(n, chosen), alpha)
-        total += weight * Fraction(m) ** tau
+    if c != 3:
+        for bits in range(1 << count):
+            weight = weights[bits.bit_count()]
+            if weight:
+                chosen = [e for i, e in enumerate(edges) if (bits >> i) & 1]
+                total += weight * Fraction(state_moment(from_masks(n, chosen), alpha)) ** tau
+        return total
+    tally: dict[tuple[int, ...], int] = {}  # (k, *rank histogram) -> graphs
+    per = max(1, _RANK_CHUNK >> n)
+    shifts = np.arange(count)
+    for g0 in range(0, 1 << count, per):
+        keep = (np.arange(g0, min(g0 + per, 1 << count))[:, None] >> shifts) & 1
+        hists = _rank_histograms(_batch_forms(n, keep))
+        keys, graphs = np.unique(np.column_stack([keep.sum(axis=1), hists]), axis=0,
+                                 return_counts=True)
+        for key, m in zip(map(tuple, keys.tolist()), graphs.tolist()):
+            tally[key] = tally.get(key, 0) + m
+    powers: dict[tuple[int, ...], Fraction] = {}
+    for (k, *hist), m in tally.items():
+        if weights[k]:
+            hist = tuple(hist)
+            if hist not in powers:
+                moment = moment_from_magnitudes(rank_magnitudes(np.array(hist), n), n, alpha)
+                powers[hist] = Fraction(moment) ** tau
+            total += m * weights[k] * powers[hist]
     return total
 
 
@@ -336,11 +414,11 @@ def variance_bound(n: int) -> Fraction:
 # concentration
 
 
-def _conc_worker(args: tuple[int, int, int]) -> int:
-    n, seed, index = args
-    g = sample(EnsembleSpec(3, 0.5, n, seed), index)
-    m2 = rank_moment(g, 2)
-    return int(m2 <= Fraction(8, 2**n))
+def _conc_worker(args: tuple[int, int, int, int]) -> int:
+    n, seed, start, stop = args
+    floor = Fraction(8, 2**n)
+    return sum(moment_from_magnitudes(rank_magnitudes(hist, n), n, 2) <= floor
+               for hist in _sample_histograms(EnsembleSpec(3, 0.5, n, seed), start, stop))
 
 
 def concentration_check(
@@ -356,11 +434,11 @@ def concentration_check(
     if samples < 1:
         raise ValueError("need at least one sample")
     _budget.check(n, _budget.sim_budget(budget), "concentration check")
-    flags = _map_tasks(_conc_worker, [(n, seed, i) for i in range(samples)], jobs)
+    tasks = [(n, seed, start, stop) for start, stop in _ranges(samples, pool_workers(jobs, samples))]
     return ConcentrationResult(
         n=n,
         samples=samples,
-        fraction=sum(flags) / samples,
+        fraction=sum(_map_tasks(_conc_worker, tasks, jobs)) / samples,
         floor=1.0 - 60.0 / 2.0**n,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import IO, Iterable
 
@@ -89,17 +90,17 @@ def build(n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     return from_masks(n, (mask_from_vertices(e, n) for e in edges))
 
 
-def c_complete(n: int, c: int) -> Hypergraph:
-    """All C(n, c) hyperedges of cardinality c."""
+@lru_cache(maxsize=16)
+def _c_edges(n: int, c: int) -> tuple[int, ...]:
+    """The C(n, c) edge masks of cardinality c in increasing order, built once per (n, c)."""
     if not 1 <= c <= n:
         raise ValueError(f"edge size c={c} must satisfy 1 <= c <= n={n}")
-    masks = []
-    for combo in combinations(range(n), c):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        masks.append(m)
-    return from_masks(n, masks)
+    return tuple(sorted(sum(1 << b for b in combo) for combo in combinations(range(n), c)))
+
+
+def c_complete(n: int, c: int) -> Hypergraph:
+    """All C(n, c) hyperedges of cardinality c."""
+    return from_masks(n, _c_edges(n, c))
 
 
 def empty(n: int) -> Hypergraph:

@@ -114,6 +114,14 @@ GOLDEN_ENSEMBLE = {
         "4,0.5,10,1/2,monte-carlo,17.86029052734375,0.0015869140624999998,2,,\n"
     ),
 }
+# stdout of `ensemble -c 3 -p 0.25 -n 5 --exact --alpha 2,1/2,3`, recorded
+# when the enumeration ranked one graph per call
+GOLDEN_ENUM = (
+    "# flags: alpha=2,1/2,3 c=3 exact=True jobs=1 n=5 p=0.25 samples=None theory=False\n"
+    "3,0.25,5,2,exact-enumeration,0.30135250091552734,,,64.0,1.7304760571616775\n"
+    "3,0.25,5,1/2,exact-enumeration,2.3547472953796387,,,,\n"
+    "3,0.25,5,3,exact-enumeration,0.1692012920975685,,,1073741824.0,1.2815937546579033\n"
+)
 
 
 class TestBuiltins:
@@ -319,6 +327,29 @@ class TestEnsembleCmd:
         flags, rows = GOLDEN_ENSEMBLE[argv].split("\n", 1)
         assert out == GOLDEN_ENSEMBLE_HEADER + flags + "\n" + GOLDEN_ENSEMBLE_COLUMNS + rows
         assert (ranks[0], star[0]) == (0, 0)
+
+    def test_exact_golden_stdout_without_per_graph_ranks(self, capsys, monkeypatch):
+        per_graph = count_calls(monkeypatch, spectrum, "rank_histogram")
+        code, out, _ = run_cli(capsys, "ensemble", "-c", "3", "-p", "0.25", "-n", "5", "--exact",
+                               "--alpha", "2,1/2,3")
+        assert code == 0
+        flags, rows = GOLDEN_ENUM.split("\n", 1)
+        assert out == GOLDEN_ENSEMBLE_HEADER + flags + "\n" + GOLDEN_ENSEMBLE_COLUMNS + rows
+        assert per_graph[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("-c", "2", "--exact", "--alpha", "2"),
+        ("-c", "2", "--exact", "--alpha", "1/2"),
+        ("-c", "1", "--exact", "--alpha", "1/2"),
+        ("-c", "2", "--theory", "--alpha", "2"),
+        ("-c", "2", "--samples", "4", "--alpha", "2"),
+        ("-c", "6", "--samples", "4", "--alpha", "1/2"),
+    ], ids=lambda a: "-".join(a[:3]).lstrip("-") + "-" + a[-1].replace("/", "_"))
+    def test_edge_size_outside_3_to_n_is_one_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "ensemble", "-n", "5", *argv)
+        assert (code, out) == (2, "")
+        c = argv[1]
+        assert err == f"error: need 3 <= c <= n, got c={c}, n=5\n"
 
     def test_mode_flags_are_exclusive(self, capsys):
         code, _, _ = run_cli(

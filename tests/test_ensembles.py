@@ -2,13 +2,14 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from hypermagic import ensembles
+from hypermagic import ensembles, hypergraph
 from hypermagic.budget import BudgetError
 from hypermagic.ensembles import (
     EnsembleSpec,
@@ -31,11 +32,16 @@ from hypermagic.ensembles import (
     sre_lower_bound_general,
     state_moment,
     variance_bound,
+    _conc_worker,
+    _mc_worker,
+    _ranges,
     _avg_m2_exact,
     _avg_m2_half_exact,
     _avg_m2_log,
     _log2_binom_table,
 )
+from hypermagic.hypergraph import c_complete, from_masks
+from hypermagic.spectrum import _RANK_CHUNK, rank_moment
 
 
 class TestSampling:
@@ -69,6 +75,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(EnsembleSpec(3, 1.5, 6, 1), 0)
 
+    def test_draws_match_the_literal_stream_with_one_edge_list(self):
+        for n, c, p, seed in ((6, 3, 0.5, 1), (9, 3, 0.25, 2**40 + 3), (8, 4, 0.75, -5)):
+            spec = EnsembleSpec(c, p, n, seed)
+            for i in range(4):
+                rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, i])
+                edges = c_complete(n, c).edges
+                keep = rng.random(len(edges)) < p
+                assert sample(spec, i) == from_masks(n, [e for e, k in zip(edges, keep) if k])
+        # the edge list is built once per (n, c), not once per draw
+        hypergraph._c_edges.cache_clear()
+        spec = EnsembleSpec(3, 0.5, 7, 11)
+        for i in range(5):
+            sample(spec, i)
+        _mc_worker((3, 0.5, 7, 11, 0, 5, "2"))
+        assert hypergraph._c_edges.cache_info().misses == 1
+
 
 class TestMonteCarlo:
     def test_p_zero_mean_one_stderr_zero(self):
@@ -95,6 +117,57 @@ class TestMonteCarlo:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_moment(EnsembleSpec(3, 0.5, 6, 7), 2, 1)
+
+
+def per_sample_values(spec: EnsembleSpec, alpha, samples: int) -> list[float]:
+    return [float(state_moment(sample(spec, i), alpha)) for i in range(samples)]
+
+
+class TestBatchedSamples:
+    """c = 3 draws ranked together equal the per-sample route, value by value."""
+
+    @pytest.mark.parametrize("alpha", [2, Fraction(1, 3)])
+    def test_values_equal_per_sample_route_n3_to_14(self, alpha):
+        for n in range(3, 15):
+            p = (0.25, 0.5, 0.75)[n % 3]
+            spec = EnsembleSpec(3, p, n, 1000 + n)
+            got = _mc_worker((3, p, n, spec.seed, 0, 6, str(alpha)))
+            assert got == per_sample_values(spec, alpha, 6), n
+
+    def test_uint32_rows_n17(self):
+        spec = EnsembleSpec(3, 0.5, 17, 3)
+        assert _mc_worker((3, 0.5, 17, 3, 0, 2, "2")) == per_sample_values(spec, 2, 2)
+
+    @pytest.mark.parametrize("samples", [8, 200])
+    def test_n12_across_chunks_and_ranges(self, samples):
+        # 2^12 masks a sample: two samples per elimination of _RANK_CHUNK columns
+        assert _RANK_CHUNK >> 12 == 2
+        spec = EnsembleSpec(3, 0.5, 12, 77)
+        want = per_sample_values(spec, 2, samples)
+        assert _mc_worker((3, 0.5, 12, 77, 0, samples, "2")) == want
+        # odd cuts put one sample of a chunk in each worker's range
+        parts = [_mc_worker((3, 0.5, 12, 77, a, b, "2")) for a, b in _ranges(samples, 3)]
+        assert [v for part in parts for v in part] == want
+        arr = np.asarray(want)
+        est = monte_carlo_moment(spec, 2, samples)
+        assert (est.mean, est.stderr) == (float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(samples)))
+
+    def test_jobs_give_identical_values_n12(self):
+        spec = EnsembleSpec(3, 0.5, 12, 78)
+        assert monte_carlo_moment(spec, 2, 200, jobs=1) == monte_carlo_moment(spec, 2, 200, jobs=2)
+
+    def test_concentration_worker_counts_exact_comparisons(self):
+        n, seed = 8, 5
+        spec = EnsembleSpec(3, 0.5, n, seed)
+        want = sum(rank_moment(sample(spec, i), 2) <= Fraction(8, 2**n) for i in range(40))
+        assert 0 < want < 40
+        assert _conc_worker((n, seed, 0, 40)) == want
+        assert sum(_conc_worker((n, seed, a, b)) for a, b in _ranges(40, 3)) == want
+
+    def test_ranges_cover_in_order(self):
+        assert _ranges(7, 3) == [(0, 2), (2, 4), (4, 7)]
+        assert _ranges(2, 2) == [(0, 1), (1, 2)]
+        assert _ranges(5, 1) == [(0, 5)]
 
 
 class TestStateMoment:
@@ -161,7 +234,37 @@ class TestWorkerPool:
         assert FakePool.made == ([workers] if workers > 1 else [])
 
 
+def per_graph_moments(n: int, c: int, alpha) -> list[tuple[int, Fraction]]:
+    """(edge count, moment) of every graph, one state moment per graph, as
+    exact_average enumerated them before it ranked graphs in batches."""
+    edges = c_complete(n, c).edges
+    out = []
+    for bits in range(1 << len(edges)):
+        chosen = [e for i, e in enumerate(edges) if (bits >> i) & 1]
+        out.append((len(chosen), Fraction(state_moment(from_masks(n, chosen), alpha))))
+    return out
+
+
+def per_graph_average(moments, count: int, p, tau: int) -> Fraction:
+    pf = Fraction(p)
+    return sum((pf**k * (1 - pf) ** (count - k) * m**tau for k, m in moments), Fraction(0))
+
+
 class TestExactAverage:
+    @pytest.mark.parametrize("alpha", [2, Fraction(1, 2), 3, Fraction(1, 3)])
+    def test_batched_equals_per_graph_reference(self, alpha):
+        for n in (3, 4, 5):
+            moments = per_graph_moments(n, 3, alpha)
+            for p in (0, Fraction(1, 4), Fraction(1, 2), Fraction(27, 50), Fraction(3, 4), 1):
+                for tau in (1, 2):
+                    got = exact_average(n, 3, p, alpha, tau)
+                    assert isinstance(got, Fraction)
+                    assert got == per_graph_average(moments, comb(n, 3), p, tau), (n, p, tau)
+
+    def test_c4_keeps_per_graph_walsh_moments(self):
+        moments = per_graph_moments(5, 4, 2)
+        assert exact_average(5, 4, Fraction(1, 3), 2) == per_graph_average(moments, 5, Fraction(1, 3), 1)
+
     def test_two_graph_average_n3(self):
         assert exact_average(3, 3, Fraction(1, 2), 2) == Fraction(43, 64)
 
@@ -181,6 +284,25 @@ class TestExactAverage:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             exact_average(9, 3, Fraction(1, 2), 2)
+
+
+class TestBatchedMemory:
+    """Peak traced allocation, flat in the sample count (caches built first)."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: exact_average(5, 3, Fraction(1, 4), 2),
+        lambda: monte_carlo_moment(EnsembleSpec(3, 0.5, 12, 7), 2, 8),
+        lambda: monte_carlo_moment(EnsembleSpec(3, 0.5, 12, 7), 2, 200),
+    ], ids=["exact_average-n5", "monte_carlo-n12-8", "monte_carlo-n12-200"])
+    def test_peak_below_one_mib(self, run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestClosedFormsAndBounds:

@@ -388,13 +388,34 @@ class TestBatchedRankHistogram:
                     assert np.array_equal(rank_histogram(g, chunk=7), expected), g
 
     def test_uint32_rows_above_16_vertices(self, rng):
-        # n = 17: rows need bit 16, past uint16; the chunks split the masks unevenly
+        # n = 17: rows need bit 16, past uint16; a chunk of 3 * 2^12 columns
+        # holds one tile of 2^13 masks
         n = 17
         g = from_masks(n, (0b111 << 14,) + small_edge_graph(n, rng, sizes=(3,), count=12).edges)
         expected = per_mask_rank_histogram(g)
         assert expected[2:].sum() > 0
         assert np.array_equal(rank_histogram(g, chunk=3 << 12), expected)
         assert np.array_equal(rank_histogram(g), expected)
+
+
+class TestRankKernelStack:
+    """One elimination per chunk of (graph, mask) columns over a stack of graphs."""
+
+    def test_stack_matches_per_mask_ranks(self, rng):
+        from hypermagic.ensembles import _batch_forms
+        from hypermagic.hypergraph import _c_edges
+
+        for n in (3, 5, 8):
+            edges = _c_edges(n, 3)
+            keep = rng.random((7, len(edges))) < 0.5
+            keep[0] = False  # the empty graph: every mask has rank 0
+            want = np.array([per_mask_rank_histogram(from_masks(n, [e for e, k in zip(edges, row) if k]))
+                             for row in keep])
+            forms = _batch_forms(n, keep)
+            # 7 and 2^n - 1: several tiles per graph; 3 * 2^n: tiles of whole
+            # graphs, the last elimination short; the default: all at once
+            for chunk in (7, (1 << n) - 1, 3 << n, spectrum._RANK_CHUNK):
+                assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), (n, chunk)
 
 
 class TestMomentEvaluator:
