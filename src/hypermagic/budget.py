@@ -6,6 +6,8 @@ graphs whose edges have at most three vertices from the Walsh pass (about
 states with larger edges stay on the Walsh pass up to its exact range,
 n <= 24.  It also bounds the 4^n words
 of `full_spectrum` and `--dump-spectrum`, which hold the whole table.
+Unions of complete layers take the Krawtchouk route of `symmetric`, which
+builds no phase table, so neither budget applies to them.
 The defaults keep casual calls from accidentally requesting terabytes or
 days; each can be raised per call or via environment variables.
 """

@@ -27,8 +27,9 @@ from . import budget as _budget
 from .hypergraph import Hypergraph, _c_edges, from_masks
 from .magic import log2_of
 from .phasestate import from_hypergraph
-from .spectrum import (_RANK_CHUNK, _rank_histograms, moment_from_magnitudes, rank_magnitudes,
-                       rank_moment, sparse_counts, walsh_gate, walsh_magnitudes)
+from .spectrum import (_RANK_CHUNK, _rank_histograms, moment_from_magnitudes, positive_alpha,
+                       rank_magnitudes, rank_moment, sparse_counts, walsh_gate,
+                       walsh_magnitudes)
 
 COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
@@ -205,14 +206,18 @@ def exact_average(n: int, c: int, p, alpha, tau: int = 1) -> Fraction:
     summed from the per-edge form table and ranked by one elimination per
     chunk of (graph, mask) columns.  Graphs are counted per (edge count,
     rank histogram), so memory does not grow with 2^C, and each distinct
-    histogram's moment is evaluated once.  Other c run the moment of each
-    graph in turn.
+    histogram's moment is evaluated once.  For c <= 2 every graph is a
+    stabilizer state, m_alpha = 1, and the weights sum to 1, so the average
+    is 1 without enumeration.  Other c run the moment of each graph in turn.
     """
     edges = _c_edges(n, c)
     count = len(edges)
     if count > 22:
         raise _budget.BudgetError(f"enumeration over 2^{count} graphs refused (limit 2^22)")
     pf = Fraction(p)
+    if c <= 2:
+        positive_alpha(alpha)
+        return Fraction(1)
     weights = [pf**k * (1 - pf) ** (count - k) for k in range(count + 1)]
     total = Fraction(0)
     if c != 3:

@@ -4,25 +4,47 @@ For a state invariant under every vertex permutation, a Pauli component
 depends only on how many X positions it has (m), and how many Z flags sit
 inside (m1) and outside (m0) the X support.  One representative per
 (m, m1, m0) class with its multinomial multiplicity replaces the 4^n sweep.
+
+Such a state is a union of complete layers L, so the phase of a basis state
+depends only on its weight w: s(w) = (-1)^{sum_{c in L} C(w, c)}.  Split a
+basis state at the X support into i ones inside and o ones outside.  The Z
+character sums over the two parts are Krawtchouk polynomials (MacWilliams
+and Sloane, The Theory of Error-Correcting Codes, 1977), K_i(t; m), the
+coefficient of z^i in (1 - z)^t (1 + z)^{m-t}, so
+
+    W(m, m1, m0) = sum_{i,o} K_i(m1; m) K_o(m0; n-m) s(i + o) s(m - i + o).
+
+`reduced_traces` takes every class of one X weight m from one integer
+product K_m^T A K_{n-m}, with A[i, o] = s(i + o) s(m - i + o): O(n^4) in
+all, and no 2^n phase table, so no simulation budget applies.
+`reduced_magnitudes` sums the class multiplicities per |W| into the sparse
+counts that `moment_from_magnitudes` takes; `exact` takes this route for
+every union of complete layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from typing import NamedTuple
+
+import numpy as np
 
 from . import budget as _budget
-from .bitops import _bit_table, superset_table
-from .hypergraph import Hypergraph, _edges_at_least_two, _one_edges_full
+from .hypergraph import Hypergraph
 from .magic import METHOD_CLOSED, MagicReport, sre_from_moment
 from .spectrum import moment_from_magnitudes
 
-MAX_REDUCED_N = 40
+# sum_i |K_i(t; m)| = 2^m, so no partial sum of K_m^T A K_{n-m} exceeds 2^n
+# in size: the int64 products are exact up to n = 62
+MAX_REDUCED_N = 62
+_BINOMIAL = np.array([[comb(r, j) for j in range(MAX_REDUCED_N + 1)]
+                      for r in range(MAX_REDUCED_N + 1)], dtype=np.int64)
+_ALTERNATING = _BINOMIAL * (1 - 2 * (np.arange(MAX_REDUCED_N + 1) & 1))
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(NamedTuple):
     m: int
     m1: int
     m0: int
@@ -30,12 +52,13 @@ class SymmetryClass:
 
 
 def symmetry_classes(n: int) -> list[SymmetryClass]:
+    """Every (m, m1, m0) class, m1 then m0 fastest, with multiplicity C(n, m) C(m, m1) C(n-m, m0)."""
     out = []
     for m in range(n + 1):
-        for m1 in range(m + 1):
-            for m0 in range(n - m + 1):
-                mult = comb(n, m) * comb(m, m1) * comb(n - m, m0)
-                out.append(SymmetryClass(m, m1, m0, mult))
+        inner = [comb(m, m1) for m1 in range(m + 1)]
+        outer = [comb(n, m) * comb(n - m, m0) for m0 in range(n - m + 1)]
+        out += [SymmetryClass(m, m1, m0, a * b)
+                for m1, a in enumerate(inner) for m0, b in enumerate(outer)]
     return out
 
 
@@ -58,49 +81,68 @@ def complete_layer_sizes(g: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(by_size))
 
 
-def reduced_traces(g: Hypergraph, budget: int | None = None) -> list[tuple[SymmetryClass, int]]:
-    """Signed induced-graph trace per symmetry class at one representative."""
-    complete_layer_sizes(g)
-    if g.n > MAX_REDUCED_N:
-        raise ValueError(f"reduced spectrum supports n <= {MAX_REDUCED_N}")
-    _budget.check(g.n, _budget.sim_budget(budget), "reduced spectrum")
+@lru_cache(maxsize=None)
+def _krawtchouk(m: int) -> np.ndarray:
+    """Read-only int64 K[i, t] = K_i(t; m), the coefficient of z^i in (1 - z)^t (1 + z)^{m-t}."""
+    k = np.empty((m + 1, m + 1), dtype=np.int64)
+    for t in range(m + 1):
+        k[:, t] = np.convolve(_ALTERNATING[t, :t + 1], _BINOMIAL[m - t, :m - t + 1])
+    k.setflags(write=False)
+    return k
+
+
+def reduced_traces(g: Hypergraph) -> list[tuple[SymmetryClass, int]]:
+    """Signed W(m, m1, m0) per symmetry class, one Krawtchouk product per m.
+
+    W is 2^n times the Pauli component, up to the dropped global sign.
+    Raises ValueError unless g is a union of complete layers, and
+    BudgetError beyond n = 62, before any product.
+    """
+    layers = complete_layer_sizes(g)
     n = g.n
-    size_bits = 1 << n
-    out: list[tuple[SymmetryClass, int]] = []
+    if n > MAX_REDUCED_N:
+        raise _budget.BudgetError(
+            f"Krawtchouk spectrum at n={n} refused: its int64 sums are exact only up to "
+            f"n={MAX_REDUCED_N}"
+        )
+    w = np.arange(n + 1)
+    odd = np.zeros(n + 1, dtype=np.int64)
+    for c in layers:
+        odd ^= (w & c) == c  # Lucas: C(w, c) is odd iff the bits of c lie in w
+    s = 1 - 2 * odd
+    traces: list[int] = []
     for m in range(n + 1):
-        x = (1 << m) - 1
-        pair_table = 0
-        for e2 in _edges_at_least_two(g, x):
-            pair_table ^= superset_table(n, e2)
-        delta = sum(_one_edges_full(g, x, 0))
-        for m1 in range(m + 1):
-            for m0 in range(n - m + 1):
-                z = ((1 << m1) - 1) | (((1 << m0) - 1) << m)
-                table = pair_table
-                ones = z ^ delta
-                for j in range(n):
-                    if (ones >> j) & 1:
-                        table ^= _bit_table(n, j)
-                trace = size_bits - 2 * table.bit_count()
-                mult = comb(n, m) * comb(m, m1) * comb(n - m, m0)
-                out.append((SymmetryClass(m, m1, m0, mult), trace))
-    return out
+        i = np.arange(m + 1)[:, None]
+        o = np.arange(n - m + 1)
+        product = _krawtchouk(m).T @ (s[i + o] * s[m - i + o]) @ _krawtchouk(n - m)
+        traces += product.ravel().tolist()  # row m1, column m0
+    return list(zip(symmetry_classes(n), traces))
 
 
-def reduced_spectrum(
-    g: Hypergraph, budget: int | None = None
-) -> list[tuple[SymmetryClass, Fraction]]:
+def reduced_magnitudes(g: Hypergraph) -> dict[int, int]:
+    """Sparse |W| counts of a union of complete layers, as `sparse_counts` gives them.
+
+    Class multiplicities are summed per nonzero |W|; the counts satisfy
+    Parseval's identity, sum_m counts[m] m^2 = 2^{3n}.
+    """
+    counts: dict[int, int] = {}
+    for cls, t in reduced_traces(g):
+        if t:
+            counts[abs(t)] = counts.get(abs(t), 0) + cls.multiplicity
+    if sum(c * m * m for m, c in counts.items()) != 2 ** (3 * g.n):
+        raise AssertionError("Krawtchouk magnitudes violate Parseval's identity")
+    return counts
+
+
+def reduced_spectrum(g: Hypergraph) -> list[tuple[SymmetryClass, Fraction]]:
     """Squared component per symmetry class, exact dyadic rationals."""
     denom = 4**g.n
-    return [(cls, Fraction(t * t, denom)) for cls, t in reduced_traces(g, budget)]
+    return [(cls, Fraction(t * t, denom)) for cls, t in reduced_traces(g)]
 
 
-def pl_moment_reduced(g: Hypergraph, alpha, budget: int | None = None):
-    """Class-weighted PL-moment; must equal the full-spectrum moment."""
-    counts: dict[int, int] = {}
-    for cls, t in reduced_traces(g, budget):
-        counts[abs(t)] = counts.get(abs(t), 0) + cls.multiplicity
-    return moment_from_magnitudes(counts, g.n, alpha)
+def pl_moment_reduced(g: Hypergraph, alpha):
+    """PL-moment of a union of complete layers from its Krawtchouk |W| counts."""
+    return moment_from_magnitudes(reduced_magnitudes(g), g.n, alpha)
 
 
 def _require_supported_alpha(alpha) -> Fraction:

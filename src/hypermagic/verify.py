@@ -133,7 +133,8 @@ def suite_thm6(max_exact_n: int = 10) -> list[CheckResult]:
 
 
 def suite_symmetric(max_n: int = 10) -> list[CheckResult]:
-    """Closed forms for the symmetric families against brute-force spectra."""
+    """Closed forms for the symmetric families against brute-force spectra,
+    and against the Krawtchouk route up to n = 40."""
     out = []
     for n in range(3, max_n + 1):
         g3 = c_complete(n, 3)
@@ -159,6 +160,20 @@ def suite_symmetric(max_n: int = 10) -> list[CheckResult]:
                 m2 == symmetric.closed_ncomplete(n, 2)
                 and mh == symmetric.closed_ncomplete(n, Fraction(1, 2)),
                 f"m2={m2}, m_half={mh}",
+            )
+        )
+    families = (("3-complete", 3, symmetric.closed_3complete),
+                ("n-complete", 2, symmetric.closed_ncomplete))
+    for family, first, closed in families:
+        bad = [(n, alpha) for n in range(first, 41) for alpha in (Fraction(2), Fraction(1, 2))
+               if symmetric.pl_moment_reduced(c_complete(n, 3 if first == 3 else n), alpha)
+               != closed(n, alpha)]
+        out.append(
+            CheckResult(
+                f"{family} Krawtchouk route n={first}..40",
+                not bad,
+                f"differs from the closed form at (n, alpha) = {bad[0]}" if bad
+                else "equals the closed form for alpha in {2, 1/2}",
             )
         )
     return out

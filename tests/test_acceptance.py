@@ -30,10 +30,10 @@ from hypermagic.ensembles import (
     variance_bound,
 )
 from hypermagic.hypergraph import build, c_complete
-from hypermagic.magic import pl_moment, sre
+from hypermagic.magic import log2_of, pl_moment, sre
 from hypermagic.phasestate import from_hypergraph
-from hypermagic.spectrum import full_spectrum
-from hypermagic.symmetric import closed_3complete, closed_ncomplete
+from hypermagic.spectrum import full_spectrum, moment_from_magnitudes
+from hypermagic.symmetric import closed_3complete, closed_ncomplete, reduced_magnitudes
 
 from conftest import random_graph
 
@@ -258,4 +258,37 @@ def test_criterion_8g_monte_carlo_vs_closed_form(capsys):
         "criterion 8g: Monte Carlo within 5 stderr of the closed form (n=10, 1000 samples)",
         ok,
         f"mean={est.mean:.6e}, theory={theory:.6e}, stderr={est.stderr:.2e}",
+    )
+
+
+def test_criterion_9_symmetric_magic_constant_or_exponentially_small(capsys):
+    """The paper's symmetric claim for alpha in {2, 3, 4}, on the Krawtchouk route.
+
+    M_alpha of the 3-complete state tends to 3, 5/2 and 7/3; the n-complete
+    state's 1 - m_alpha falls as 8 alpha 2^-n.  Its float M_alpha underflows
+    to -0.0 near n = 62, so the second claim is checked on the exact moment.
+    """
+    limits = {2: 3.0, 3: 2.5, 4: 7 / 3}
+    worst_3complete = 0.0
+    for n in range(40, 63):
+        counts = reduced_magnitudes(c_complete(n, 3))
+        for alpha, limit in limits.items():
+            entropy = log2_of(moment_from_magnitudes(counts, n, alpha)) / (1 - alpha)
+            worst_3complete = max(worst_3complete, abs(entropy - limit))
+    positive, worst_ncomplete, scaled = True, 0.0, {}
+    for n in range(20, 63):
+        counts = reduced_magnitudes(c_complete(n, n))
+        for alpha in limits:
+            gap = 1 - moment_from_magnitudes(counts, n, alpha)
+            positive &= isinstance(gap, Fraction) and gap > 0
+            scaled[alpha] = float(gap * 2**n)
+            worst_ncomplete = max(worst_ncomplete, abs(scaled[alpha] / (8 * alpha) - 1))
+    ok = worst_3complete < 1e-6 and positive and worst_ncomplete < 0.01
+    assert verdict(
+        capsys,
+        "criterion 9: M_alpha(3complete) constant (n=40..62), "
+        "1 - m_alpha(ncomplete) ~ 8 alpha 2^-n (n=20..62), alpha in {2, 3, 4}",
+        ok,
+        f"max |M - limit| = {worst_3complete:.1e}, max relative error of (1 - m) 2^n = "
+        f"{worst_ncomplete:.1e}, (1 - m) 2^62 = {scaled}",
     )

@@ -3,13 +3,15 @@
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from hypermagic import bitops, ensembles, phasestate, spectrum
+from hypermagic import bitops, ensembles, phasestate, spectrum, symmetric
 from hypermagic.cli import main, parse_builtin
 from hypermagic.hypergraph import build, c_complete, from_masks, to_text
+from hypermagic.symmetric import closed_ncomplete
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +40,18 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def with_z_edge(tmp_path, g) -> list[str]:
+    """--graph argv for g plus the single-vertex edge {1}.
+
+    That edge is a Z gate, so every |W| and every moment is unchanged, and
+    g is no longer a union of complete layers: the request takes the route
+    of a general graph, not the Krawtchouk route of a symmetric one.
+    """
+    path = tmp_path / "z_edge.hg"
+    path.write_text(to_text(from_masks(g.n, [*g.edges, 1])))
+    return ["--graph", str(path)]
 
 
 def uniform3_n13():
@@ -169,8 +183,9 @@ class TestExact:
         assert code == 2
         assert "parse" in err
 
-    def test_budget_exceeded_exit_4(self, capsys):
-        code, _, err = run_cli(capsys, "exact", "--builtin", "ncomplete:30", "--alpha", "2")
+    def test_budget_exceeded_exit_4(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(30, 30)),
+                               "--alpha", "2")
         assert code == 4
         assert "budget" in err.lower()
 
@@ -213,11 +228,12 @@ class TestExact:
         expected = GOLDEN_HEADER + flags.format(graph=path) + "\n" + GOLDEN_COLUMNS + rows
         assert out == expected
 
-    def test_direct_route_runs_walsh_kernel_once(self, capsys, monkeypatch):
+    def test_direct_route_runs_walsh_kernel_once(self, capsys, monkeypatch, tmp_path):
         walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
         full = count_calls(monkeypatch, spectrum, "full_spectrum")
         fwht = count_calls(monkeypatch, spectrum, "fwht")
-        code, out, _ = run_cli(capsys, "exact", "--builtin", "3complete:10", "--alpha", "2,1/2,3")
+        code, out, _ = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(10, 3)),
+                               "--alpha", "2,1/2,3")
         assert code == 0
         assert [r.split(",")[4] for r in data_rows(out)[1:]] == ["direct-spectrum"] * 3
         assert (walsh[0], full[0], fwht[0]) == (1, 0, 0)
@@ -232,6 +248,28 @@ class TestExact:
         assert [r.split(",")[4] for r in data_rows(out)[1:]] == ["rank-class"] * 3
         assert (ranks[0], walsh[0]) == (1, 0)
 
+    @pytest.mark.parametrize("name, method", [("3complete:12", "direct-spectrum"),
+                                              ("3complete:13", "rank-class")])
+    def test_symmetric_route_builds_no_phase_table(self, capsys, monkeypatch, name, method):
+        krawtchouk = count_calls(monkeypatch, symmetric, "reduced_traces")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        ranks = count_calls(monkeypatch, spectrum, "rank_histogram")
+        tables = count_calls(monkeypatch, phasestate, "from_hypergraph")
+        code, out, _ = run_cli(capsys, "exact", "--builtin", name, "--alpha", "2,1/2,3")
+        assert code == 0
+        # the label of the route the state took before, so the output is unchanged
+        assert [r.split(",")[4] for r in data_rows(out)[1:]] == [method] * 3
+        assert (krawtchouk[0], walsh[0], ranks[0], tables[0]) == (1, 0, 0, 0)
+
+    def test_symmetric_route_past_the_kernel_and_its_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "ncomplete:30", "--alpha", "2,1/2")
+        assert code == 0
+        exact = [r.split(",")[2] for r in data_rows(out)[1:]]
+        assert exact == [str(closed_ncomplete(30, 2)), str(closed_ncomplete(30, Fraction(1, 2)))]
+        code, out, err = run_cli(capsys, "exact", "--builtin", "ncomplete:63", "--alpha", "2")
+        assert (code, out) == (4, "")
+        assert "exact only up to n=62" in err
+
     def test_spectrum_dump_builds_one_table(self, capsys, monkeypatch, tmp_path):
         dump = tmp_path / "spectrum.csv"
         walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
@@ -241,20 +279,23 @@ class TestExact:
         assert walsh[0] == 1
         assert data_rows(out)[1:] == GOLDEN_EXACT["ccz"].splitlines()[1:]
 
-    def test_large_edges_above_budget_run_walsh_kernel_once(self, capsys, monkeypatch):
+    def test_large_edges_above_budget_run_walsh_kernel_once(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("HYPERMAGIC_SPECTRUM_BUDGET", "4")
         walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
         star = count_calls(monkeypatch, spectrum, "star_trace_sum")
-        code, out, _ = run_cli(capsys, "exact", "--builtin", "ncomplete:8", "--alpha", "2,1/2,3")
+        code, out, _ = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(8, 8)),
+                               "--alpha", "2,1/2,3")
         assert code == 0
         rows = "\n".join(data_rows(out)[1:]) + "\n"
         assert rows == GOLDEN_NCOMPLETE8_ROWS.format(method="direct-spectrum")
         assert (walsh[0], star[0]) == (1, 0)
 
-    def test_large_edges_beyond_kernel_exit_4_before_any_table(self, capsys, monkeypatch):
+    def test_large_edges_beyond_kernel_exit_4_before_any_table(self, capsys, monkeypatch,
+                                                                tmp_path):
         tables = count_calls(monkeypatch, phasestate, "from_hypergraph")
         star = count_calls(monkeypatch, spectrum, "star_trace_sum")
-        code, _, err = run_cli(capsys, "exact", "--builtin", "ncomplete:25", "--alpha", "2")
+        code, _, err = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(25, 25)),
+                               "--alpha", "2")
         assert code == 4
         assert "exact only up to n=24" in err
         assert (tables[0], star[0]) == (0, 0)
@@ -268,12 +309,13 @@ class TestExact:
         assert code == 0
         assert "jobs=2" in out
 
-    def test_budget_env_override(self, capsys, monkeypatch):
+    def test_budget_env_override(self, capsys, monkeypatch, tmp_path):
+        source = with_z_edge(tmp_path, c_complete(4, 4))
         monkeypatch.setenv("HYPERMAGIC_SIM_BUDGET", "2")
-        code, _, err = run_cli(capsys, "exact", "--builtin", "ncomplete:4", "--alpha", "2")
+        code, _, err = run_cli(capsys, "exact", *source, "--alpha", "2")
         assert code == 4 and "budget" in err.lower()
         monkeypatch.setenv("HYPERMAGIC_SIM_BUDGET", "26")
-        code, _, _ = run_cli(capsys, "exact", "--builtin", "ncomplete:4", "--alpha", "2")
+        code, _, _ = run_cli(capsys, "exact", *source, "--alpha", "2")
         assert code == 0
 
 
@@ -422,6 +464,16 @@ class TestVerifyCmd:
         assert code == 0
         assert "PASS counting N(3,2,3)" in out
         assert "FAIL" not in out
+
+    def test_symmetric_suite_checks_the_krawtchouk_route(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "verify", "symmetric")
+        assert code == 0
+        assert "PASS 3-complete Krawtchouk route n=3..40" in out
+        assert "PASS n-complete Krawtchouk route n=2..40" in out
+        monkeypatch.setattr(symmetric, "pl_moment_reduced", lambda g, alpha: Fraction(1))
+        code, out, _ = run_cli(capsys, "verify", "symmetric")
+        assert code == 3
+        assert "FAIL 3-complete Krawtchouk route" in out and "FAIL n-complete Krawtchouk" in out
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")

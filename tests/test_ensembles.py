@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -284,6 +285,27 @@ class TestExactAverage:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             exact_average(9, 3, Fraction(1, 2), 2)
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_stabilizer_ensembles_equal_per_graph_reference(self, c):
+        for alpha in (2, Fraction(1, 2)):
+            moments = per_graph_moments(4, c, alpha)
+            for p in (0, Fraction(1, 4), Fraction(1, 2), 1):
+                for tau in (1, 2):
+                    want = per_graph_average(moments, comb(4, c), p, tau)
+                    assert exact_average(4, c, p, alpha, tau) == want == 1
+
+    def test_stabilizer_ensemble_skips_the_enumeration(self, monkeypatch):
+        moments = []
+        monkeypatch.setattr(ensembles, "state_moment", lambda *args: moments.append(args))
+        t0 = time.perf_counter()
+        assert exact_average(14, 1, Fraction(1, 2), 2) == 1
+        assert time.perf_counter() - t0 < 0.1  # enumerating its 2^14 graphs took 0.76 s
+        assert moments == []
+        with pytest.raises(BudgetError):  # the refusal still comes first
+            exact_average(8, 2, Fraction(1, 2), 2)
+        with pytest.raises(ValueError):
+            exact_average(4, 2, Fraction(1, 2), 0)
 
 
 class TestBatchedMemory:

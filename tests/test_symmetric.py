@@ -2,22 +2,44 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from hypermagic.hypergraph import build, c_complete
+from hypermagic.budget import BudgetError
+from hypermagic.hypergraph import build, c_complete, from_masks
 from hypermagic.magic import log2_of, pl_moment
 from hypermagic.phasestate import from_hypergraph
-from hypermagic.spectrum import full_spectrum, rank_moment
+from hypermagic.spectrum import (
+    full_spectrum,
+    moment_from_magnitudes,
+    rank_moment,
+    sparse_counts,
+    walsh_blocks,
+    walsh_magnitudes,
+)
 from hypermagic.symmetric import (
+    MAX_REDUCED_N,
     closed_3complete,
     closed_ncomplete,
     closed_report,
     complete_layer_sizes,
     pl_moment_reduced,
+    reduced_magnitudes,
     reduced_spectrum,
+    reduced_traces,
     symmetry_classes,
 )
+
+
+def layered(n: int, sizes):
+    """The union of the complete layers of the given edge sizes on n vertices."""
+    return from_masks(n, [e for c in sizes for e in c_complete(n, c).edges])
+
+
+def all_layer_sets(n: int):
+    return [sizes for r in range(n + 1) for sizes in combinations(range(1, n + 1), r)]
 
 
 class TestSymmetryClasses:
@@ -69,6 +91,41 @@ class TestReducedSpectrum:
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
             reduced_spectrum(build(4, [(1, 2), (2, 3)]))
+
+
+class TestKrawtchoukRoute:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_counts_equal_walsh_kernel(self, n):
+        # every layer set up to n = 8; beyond, the 3-complete, n-complete and {2, 3} states
+        for sizes in all_layer_sets(n) if n <= 8 else [(3,), (n,), (2, 3)]:
+            g = layered(n, sizes)
+            want = sparse_counts(walsh_magnitudes(from_hypergraph(g)))
+            assert reduced_magnitudes(g) == want, sizes
+            for alpha in (2, Fraction(1, 2), 3):
+                moment = pl_moment_reduced(g, alpha)
+                assert isinstance(moment, Fraction)
+                assert moment == moment_from_magnitudes(want, n, alpha), (sizes, alpha)
+
+    @pytest.mark.parametrize("family", ["3complete", "ncomplete"])
+    def test_moments_equal_closed_forms_to_n62(self, family):
+        closed = {"3complete": closed_3complete, "ncomplete": closed_ncomplete}[family]
+        for n in range(3, MAX_REDUCED_N + 1):
+            g = c_complete(n, 3 if family == "3complete" else n)
+            for alpha in (2, Fraction(1, 2)):
+                assert pl_moment_reduced(g, alpha) == closed(n, alpha), (n, alpha)
+
+    def test_traces_are_signed_walsh_values(self):
+        g = layered(5, (2, 3))
+        w = np.vstack([block for _, block in walsh_blocks(from_hypergraph(g))])
+        for cls, t in reduced_traces(g):
+            # the class representative: X on the first m qubits, Z on m1 of them and m0 others
+            x = (1 << cls.m) - 1
+            z = ((1 << cls.m1) - 1) | (((1 << cls.m0) - 1) << cls.m)
+            assert t == int(w[x, z]), cls
+
+    def test_beyond_int64_range_is_a_budget_error(self):
+        with pytest.raises(BudgetError, match="exact only up to n=62"):
+            reduced_traces(c_complete(MAX_REDUCED_N + 1, MAX_REDUCED_N + 1))
 
 
 class TestClosedForms:
