@@ -1,11 +1,10 @@
 """Simulation budgets with environment overrides.
 
-Phase tables cost 2^n bits.  The spectrum budget is where `exact` moves
-graphs whose edges have at most three vertices from the Walsh pass (about
-2^{2.5n} flops of matrix products, O(2^n) memory) to the rank route;
-states with larger edges stay on the Walsh pass up to its exact range,
-n <= 24.  It also bounds the 4^n words
-of `full_spectrum` and `--dump-spectrum`, which hold the whole table.
+Phase tables cost 2^n bits; the sim budget gates them and the rank route.
+The spectrum budget picks no route (`ensembles.state_counts` picks it from
+the graph alone).  It sets the method label of `exact`, rank-class above
+it for graphs whose edges have at most three vertices, and bounds the 4^n
+words of `full_spectrum` and `--dump-spectrum`, which hold the whole table.
 Unions of complete layers take the Krawtchouk route of `symmetric`, which
 builds no phase table, so neither budget applies to them.
 The defaults keep casual calls from accidentally requesting terabytes or
@@ -17,7 +16,7 @@ from __future__ import annotations
 import os
 
 DEFAULT_SIM_BUDGET = 26  # phase tables, 2^n-bit
-DEFAULT_SPECTRUM_BUDGET = 12  # rank route above it for c <= 3; 4^n words for a full table
+DEFAULT_SPECTRUM_BUDGET = 12  # rank-class label above it for c <= 3; 4^n words of a full table
 DEFAULT_THEORY_BUDGET = 64  # composition-sum evaluations, about C(n+6, 6)/6 grid cells
 
 ENV_SIM = "HYPERMAGIC_SIM_BUDGET"

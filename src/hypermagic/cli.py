@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, budget as _budget, ensembles, magic, spectrum, symmetric, verify
-from .hypergraph import Hypergraph, build, c_complete, empty, from_text
+from . import __version__, budget as _budget, ensembles, magic, spectrum, verify
+from .hypergraph import Hypergraph, build, c_complete, degree_profile, empty, from_text
 from .phasestate import from_hypergraph
 
 EXIT_OK = 0
@@ -110,46 +110,26 @@ def _emit(args, header: list[str], columns: list[str], rows: list[dict]) -> None
         sys.stdout.write(text)
 
 
-def _is_complete_layers(g: Hypergraph) -> bool:
-    try:
-        symmetric.complete_layer_sizes(g)
-    except ValueError:
-        return False
-    return True
-
-
 def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int | None,
                    dump_path: str | None) -> list[magic.MagicReport]:
     """One table of |W| counts per state, every alpha evaluated from it.
 
-    `--dump-spectrum` builds the full spectrum.  A union of complete layers
-    (a permutation-symmetric state) takes the Krawtchouk route,
-    `symmetric.reduced_magnitudes`: O(n^4) integer products and no phase
-    table, so no sim budget applies, refused beyond n = 62.  Other graphs
-    whose edges have at most three vertices take the rank-class route above
-    the spectrum budget; every other state streams the Walsh kernel's
-    magnitude histogram, which is refused beyond the kernel's exact range.
-    A symmetric state keeps the method label of the route it took before
-    the Krawtchouk route existed, rank-class or direct-spectrum, so its
-    output is unchanged.
+    `--dump-spectrum` builds the full spectrum; otherwise
+    `ensembles.state_counts` picks the route from the graph alone.  The
+    method label names the budget class, not the route: rank-class when the
+    edges have at most three vertices and n exceeds the spectrum budget,
+    direct-spectrum otherwise.  The spectrum budget picks no route; it sets
+    this label and bounds the full 4^n table.
     """
+    rank_class = g.n > _budget.spectrum_budget(budget_override) and g.max_edge_size() <= 3
+    method = magic.METHOD_RANK if rank_class else magic.METHOD_DIRECT
     if dump_path:
         spec = spectrum.full_spectrum(from_hypergraph(g, budget_override), budget_override)
         with open(dump_path, "w", encoding="utf-8") as fh:
             spectrum.dump_csv(spec, fh)
-        counts, method = spectrum.sparse_counts(spec.magnitude_histogram()), magic.METHOD_DIRECT
+        counts = spectrum.sparse_counts(spec.magnitude_histogram())
     else:
-        rank_class = g.n > _budget.spectrum_budget(budget_override) and g.max_edge_size() <= 3
-        method = magic.METHOD_RANK if rank_class else magic.METHOD_DIRECT
-        if _is_complete_layers(g):
-            counts = symmetric.reduced_magnitudes(g)
-        elif rank_class:
-            _budget.check(g.n, _budget.sim_budget(budget_override), "rank-class moment")
-            counts = spectrum.rank_magnitudes(spectrum.rank_histogram(g), g.n)
-        else:
-            spectrum.walsh_gate(g.n, "Walsh spectrum")
-            hist = spectrum.walsh_magnitudes(from_hypergraph(g, budget_override))
-            counts = spectrum.sparse_counts(hist)
+        counts = ensembles.state_counts(g, budget_override)
     return [magic.sre_from_moment(spectrum.moment_from_magnitudes(counts, g.n, a), a, method)
             for a in alphas]
 
@@ -157,6 +137,7 @@ def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int |
 def cmd_exact(args) -> int:
     g = _load_graph(args)
     alphas = _parse_alphas(args.alpha)
+    profile = degree_profile(g) if max(alphas) >= 2 else None
     rows = []
     for alpha, report in zip(alphas, _exact_reports(g, alphas, args.budget, args.dump_spectrum)):
         row = {
@@ -166,7 +147,7 @@ def cmd_exact(args) -> int:
             if isinstance(report.pl_moment, Fraction) else None,
             "sre": report.sre,
             "method": report.method,
-            "degree_bound": magic.degree_bound(g, alpha) if alpha >= 2 else None,
+            "degree_bound": magic.degree_bound(g, alpha, profile) if alpha >= 2 else None,
         }
         rows.append(row)
     header = _provenance(args, {"alpha": args.alpha, "graph": args.builtin or args.graph,

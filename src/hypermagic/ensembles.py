@@ -27,9 +27,10 @@ from . import budget as _budget
 from .hypergraph import Hypergraph, _c_edges, from_masks
 from .magic import log2_of
 from .phasestate import from_hypergraph
-from .spectrum import (_RANK_CHUNK, _rank_histograms, moment_from_magnitudes, positive_alpha,
-                       rank_magnitudes, rank_moment, sparse_counts, walsh_gate,
+from .spectrum import (_RANK_CHUNK, WALSH_MAX_N, _rank_histograms, moment_from_magnitudes,
+                       positive_alpha, rank_histogram, rank_magnitudes, sparse_counts,
                        walsh_magnitudes)
+from .symmetric import complete_layer_sizes, reduced_magnitudes
 
 COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
@@ -128,13 +129,32 @@ def _sample_histograms(spec: EnsembleSpec, start: int, stop: int):
         yield from _rank_histograms(_batch_forms(spec.n, keep))
 
 
-def state_moment(g: Hypergraph, alpha) -> Fraction | float:
-    """PL-moment of one state: rank route when edges are small, Walsh kernel otherwise."""
-    alpha = Fraction(alpha)
+def state_counts(g: Hypergraph, budget: int | None = None) -> dict[int, int]:
+    """Sparse |W| counts of one state, by the one route its graph takes.
+
+    Krawtchouk (`reduced_magnitudes`) for a union of complete layers, with
+    no phase table and no sim budget; rank for any other graph whose edges
+    have at most three vertices; Walsh for every other graph, refused beyond
+    the kernel's exact range before any phase table is built.
+    """
+    try:
+        layers = complete_layer_sizes(g)
+    except ValueError:  # not permutation symmetric
+        pass
+    else:
+        return reduced_magnitudes(g, layers)
     if g.max_edge_size() <= 3:
-        return rank_moment(g, alpha)
-    walsh_gate(g.n, "Walsh moment")
-    return moment_from_magnitudes(sparse_counts(walsh_magnitudes(from_hypergraph(g))), g.n, alpha)
+        _budget.check(g.n, _budget.sim_budget(budget), "rank-class moment")
+        return rank_magnitudes(rank_histogram(g), g.n)
+    if g.n > WALSH_MAX_N:
+        raise _budget.BudgetError(f"Walsh spectrum at n={g.n} refused: the float32 Walsh kernel "
+                                  f"is exact only up to n={WALSH_MAX_N}")
+    return sparse_counts(walsh_magnitudes(from_hypergraph(g, budget)))
+
+
+def state_moment(g: Hypergraph, alpha) -> Fraction | float:
+    """PL-moment of one state from its `state_counts`."""
+    return moment_from_magnitudes(state_counts(g), g.n, alpha)
 
 
 def pool_workers(jobs: int, tasks: int) -> int:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hypergraph import Hypergraph, degree_profile
+from .hypergraph import DegreeProfile, Hypergraph, degree_profile
 from .spectrum import (PauliSpectrum, moment_from_magnitudes, rank_moment, sparse_counts,
                        star_trace_sum)
 
@@ -52,16 +52,12 @@ def sre_from_moment(moment, alpha, method: str) -> MagicReport:
 def sre(spectrum: PauliSpectrum, alpha) -> MagicReport:
     """Entropy from a materialized spectrum (Renyi of the component distribution)."""
     alpha = Fraction(alpha)
-    if alpha == 1:
-        raise ValueError("alpha = 1 is not defined for this entropy family")
     return sre_from_moment(pl_moment(spectrum, alpha), alpha, METHOD_DIRECT)
 
 
 def sre_star(g: Hypergraph, alpha, budget: int | None = None) -> MagicReport:
     """Entropy via the star-graph trace sum, no 4^n table materialized."""
     alpha = Fraction(alpha)
-    if alpha == 1:
-        raise ValueError("alpha = 1 is not defined for this entropy family")
     total = star_trace_sum(g, alpha, budget)
     denom_exp = g.n * (1 + 2 * alpha)
     if isinstance(total, int) and denom_exp.denominator == 1:
@@ -76,12 +72,12 @@ def sre_rank(g: Hypergraph, alpha) -> MagicReport:
     return sre_from_moment(rank_moment(g, alpha), Fraction(alpha), METHOD_RANK)
 
 
-def degree_bound(g: Hypergraph, alpha) -> float:
-    """Upper bound on the entropy from the average degree, alpha >= 2."""
+def degree_bound(g: Hypergraph, alpha, profile: DegreeProfile | None = None) -> float:
+    """Upper bound on the entropy from g's average degree (from `profile` if given), alpha >= 2."""
     alpha = Fraction(alpha)
     if alpha < 2:
         raise ValueError("the degree bound holds for alpha >= 2")
-    avg = degree_profile(g).average
+    avg = (profile or degree_profile(g)).average
     inner = 1.0 + 2.0 ** (-(2 * float(alpha) - 1) * float(avg))
     return g.n / (float(alpha) - 1.0) * (1.0 - math.log2(inner))
 

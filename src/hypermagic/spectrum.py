@@ -14,16 +14,18 @@ integer of size at most 2^n, so the products are exact up to n = 24, where
 the kernel stops.  `full_spectrum` stores all 4^n squares from it;
 `walsh_magnitudes` streams them into a histogram of |W| in O(2^n + block)
 memory, from which every moment order follows.  That histogram is the
-production route for `exact` and for ensemble samples with an edge of four
-or more vertices.
+route of `ensembles.state_counts` for a graph with an edge of four or more
+vertices that is not a union of complete layers.  The spectrum budget picks
+no route: it bounds only the 4^n table of `full_spectrum`.
 
 `rank_moment` evaluates the moment in closed form per X mask for graphs
 whose edges have at most three vertices, from the GF(2) rank of the
 induced pair-edge form.  One kernel, `_rank_histograms`, ranks the forms
 of a stack of graphs: every (graph, mask) column, by one GF(2) elimination
 per chunk of at most 2^13 columns.  `rank_histogram` is its one-graph
-call; the c = 3 ensemble enumeration and Monte Carlo samples hand it many
-graphs at once.
+call, the route of `ensembles.state_counts` for every other graph whose
+edges have at most three vertices; the c = 3 ensemble enumeration and
+Monte Carlo samples hand it many graphs at once.
 
 `moment_from_magnitudes` is the one production moment evaluator: every
 route hands it sparse |W| counts as Python ints, through `sparse_counts`
@@ -105,7 +107,10 @@ def moment_from_magnitudes(counts: dict[int, int], n: int, alpha) -> Fraction | 
 
     The squared component of a Pauli is m^2 / 4^n, so the moment is
     2^-n sum_m counts[m] (m^2 / 4^n)^alpha: exact when 2*alpha is an
-    integer (integer powers of m), a correctly rounded float sum otherwise.
+    integer (integer powers of m).  Otherwise each term is a float power
+    with exponent float(alpha), which scales that exponent's rounding error
+    by |ln| of the base (up to about 2n ln 2), and `math.fsum` adds the
+    terms: the result is not correctly rounded, and its error grows with n.
     Every production route hands its counts, as Python ints, to this sum.
     """
     alpha = positive_alpha(alpha)
@@ -161,14 +166,6 @@ def _hadamard(k: int) -> np.ndarray:
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
     return h
-
-
-def walsh_gate(n: int, what: str) -> None:
-    """BudgetError for a Walsh-kernel request beyond the kernel's exact range."""
-    if n > WALSH_MAX_N:
-        raise _budget.BudgetError(
-            f"{what} at n={n} refused: the float32 Walsh kernel is exact only up to n={WALSH_MAX_N}"
-        )
 
 
 def walsh_blocks(state: PhaseState):

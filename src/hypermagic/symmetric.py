@@ -18,8 +18,8 @@ coefficient of z^i in (1 - z)^t (1 + z)^{m-t}, so
 product K_m^T A K_{n-m}, with A[i, o] = s(i + o) s(m - i + o): O(n^4) in
 all, and no 2^n phase table, so no simulation budget applies.
 `reduced_magnitudes` sums the class multiplicities per |W| into the sparse
-counts that `moment_from_magnitudes` takes; `exact` takes this route for
-every union of complete layers.
+counts that `moment_from_magnitudes` takes; `ensembles.state_counts` takes
+this route for every union of complete layers.
 """
 
 from __future__ import annotations
@@ -91,14 +91,18 @@ def _krawtchouk(m: int) -> np.ndarray:
     return k
 
 
-def reduced_traces(g: Hypergraph) -> list[tuple[SymmetryClass, int]]:
+def reduced_traces(
+    g: Hypergraph, layers: tuple[int, ...] | None = None
+) -> list[tuple[SymmetryClass, int]]:
     """Signed W(m, m1, m0) per symmetry class, one Krawtchouk product per m.
 
     W is 2^n times the Pauli component, up to the dropped global sign.
-    Raises ValueError unless g is a union of complete layers, and
-    BudgetError beyond n = 62, before any product.
+    `layers` are g's `complete_layer_sizes`, found here unless the caller
+    has them.  Raises ValueError unless g is a union of complete layers,
+    and BudgetError beyond n = 62, before any product.
     """
-    layers = complete_layer_sizes(g)
+    if layers is None:
+        layers = complete_layer_sizes(g)
     n = g.n
     if n > MAX_REDUCED_N:
         raise _budget.BudgetError(
@@ -119,14 +123,15 @@ def reduced_traces(g: Hypergraph) -> list[tuple[SymmetryClass, int]]:
     return list(zip(symmetry_classes(n), traces))
 
 
-def reduced_magnitudes(g: Hypergraph) -> dict[int, int]:
+def reduced_magnitudes(g: Hypergraph, layers: tuple[int, ...] | None = None) -> dict[int, int]:
     """Sparse |W| counts of a union of complete layers, as `sparse_counts` gives them.
 
     Class multiplicities are summed per nonzero |W|; the counts satisfy
-    Parseval's identity, sum_m counts[m] m^2 = 2^{3n}.
+    Parseval's identity, sum_m counts[m] m^2 = 2^{3n}.  `layers` as in
+    `reduced_traces`.
     """
     counts: dict[int, int] = {}
-    for cls, t in reduced_traces(g):
+    for cls, t in reduced_traces(g, layers):
         if t:
             counts[abs(t)] = counts.get(abs(t), 0) + cls.multiplicity
     if sum(c * m * m for m, c in counts.items()) != 2 ** (3 * g.n):

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from hypermagic import bitops, ensembles, phasestate, spectrum, symmetric
+from hypermagic import bitops, ensembles, hypergraph, phasestate, spectrum, symmetric
 from hypermagic.cli import main, parse_builtin
 from hypermagic.hypergraph import build, c_complete, from_masks, to_text
 from hypermagic.symmetric import closed_ncomplete
@@ -99,6 +99,15 @@ GOLDEN_EXACT = {
     ),
 }
 
+# stdout of `exact --alpha 2,1/2,1/3,3` for 3complete:10 plus the Z edge {1},
+# recorded when c <= 3 graphs within the spectrum budget took the Walsh kernel
+GOLDEN_EXACT_SMALL_C3 = (
+    "# flags: alpha=2,1/2,1/3,3 edges=121 graph={graph} n=10\n"
+    "2,0.12841796875,263/2048,2.961081010707698,direct-spectrum,9.999999892510843\n"
+    "1/2,8.998046875,4607/512,6.339223765208423,direct-spectrum,\n"
+    "1/3,21.41568940661169,,6.630894323420147,direct-spectrum,\n"
+    "3,0.03308868408203125,4337/131072,2.4587591360684486,direct-spectrum,4.999999999999795\n"
+)
 
 # stdout of `exact --builtin ncomplete:8 --alpha 2,1/2,3` with the spectrum
 # budget at 4, recorded when c >= 4 states above the budget took the star
@@ -232,11 +241,52 @@ class TestExact:
         walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
         full = count_calls(monkeypatch, spectrum, "full_spectrum")
         fwht = count_calls(monkeypatch, spectrum, "fwht")
-        code, out, _ = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(10, 3)),
+        code, out, _ = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(10, 4)),
                                "--alpha", "2,1/2,3")
         assert code == 0
         assert [r.split(",")[4] for r in data_rows(out)[1:]] == ["direct-spectrum"] * 3
         assert (walsh[0], full[0], fwht[0]) == (1, 0, 0)
+
+    def test_golden_stdout_small_c3_graph(self, capsys, tmp_path):
+        source = with_z_edge(tmp_path, c_complete(10, 3))
+        code, out, _ = run_cli(capsys, "exact", *source, "--alpha", "2,1/2,1/3,3")
+        assert code == 0
+        flags, rows = GOLDEN_EXACT_SMALL_C3.split("\n", 1)
+        assert out == GOLDEN_HEADER + flags.format(graph=source[1]) + "\n" + GOLDEN_COLUMNS + rows
+
+    @pytest.mark.parametrize("graph, kernel", [
+        (from_masks(10, [*c_complete(10, 3).edges, 1]), "rank_histogram"),
+        (from_masks(8, [*c_complete(8, 3).edges, 0b1111]), "walsh_blocks"),
+        (c_complete(10, 3), "reduced_traces"),
+    ], ids=["rank", "walsh", "krawtchouk"])
+    def test_exact_and_state_moment_run_the_same_one_kernel(self, capsys, monkeypatch, tmp_path,
+                                                           graph, kernel):
+        path = tmp_path / "graph.hg"
+        path.write_text(to_text(graph))
+        calls = {name: count_calls(monkeypatch, module, name) for module, name in
+                 ((spectrum, "rank_histogram"), (spectrum, "walsh_blocks"),
+                  (symmetric, "reduced_traces"))}
+        code, out, _ = run_cli(capsys, "exact", "--graph", str(path), "--alpha", "2")
+        assert code == 0
+        by_exact = {name: c[0] for name, c in calls.items()}
+        moment = ensembles.state_moment(graph, 2)
+        by_state_moment = {name: c[0] - by_exact[name] for name, c in calls.items()}
+        want = {name: int(name == kernel) for name in calls}
+        assert (by_exact, by_state_moment) == (want, want)
+        assert data_rows(out)[1].split(",")[2] == str(moment)
+
+    def test_one_degree_profile_per_request(self, capsys, monkeypatch):
+        profiles = count_calls(monkeypatch, hypergraph, "degree_profile")
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "3complete:12", "--alpha", "2,3,4")
+        assert code == 0
+        assert all(r.split(",")[5] for r in data_rows(out)[1:])
+        assert profiles[0] == 1
+
+    def test_one_layer_check_per_symmetric_request(self, capsys, monkeypatch):
+        checks = count_calls(monkeypatch, symmetric, "complete_layer_sizes")
+        code, _, _ = run_cli(capsys, "exact", "--builtin", "3complete:12", "--alpha", "2,1/2")
+        assert code == 0
+        assert checks[0] == 1
 
     def test_rank_route_builds_one_histogram(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "uniform3_13.hg"

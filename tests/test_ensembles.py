@@ -189,9 +189,11 @@ class TestStateMoment:
 
     def test_refused_beyond_the_walsh_kernel(self):
         from hypermagic.hypergraph import c_complete
+        from hypermagic.symmetric import closed_ncomplete
 
         with pytest.raises(BudgetError, match="n=24"):
-            state_moment(c_complete(25, 25), 2)
+            state_moment(from_masks(25, [*c_complete(25, 25).edges, 1]), 2)
+        assert state_moment(c_complete(25, 25), 2) == closed_ncomplete(25, 2)
 
 
 class FakePool:
