@@ -255,7 +255,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
     kwargs = {}
     if args.suite == "concentration":
-        kwargs = {"n": args.n or 12, "samples": args.samples or 200,
+        kwargs = {"n": 12 if args.n is None else args.n,
+                  "samples": 200 if args.samples is None else args.samples,
                   "seed": args.seed, "jobs": args.jobs}
     results = verify.SUITES[args.suite](**kwargs)
     failed = 0

@@ -314,11 +314,6 @@ def jensen_sre_lower_bound(mean_moment, alpha) -> float:
     return log2_of(mean_moment) / (1.0 - alpha)
 
 
-def sre_lower_bound_general(c: int, alpha: int, n: int) -> float:
-    """Closed lower bound (n - c - 2^{2 alpha - 1}) / (alpha - 1), derived field."""
-    return (n - (c + 2 ** (2 * alpha - 1))) / (alpha - 1)
-
-
 # ---------------------------------------------------------------------------
 # counting problems
 
@@ -362,31 +357,19 @@ def signature_histogram(c: int, alpha: int, n: int) -> np.ndarray:
     if len(edges) > 24:
         raise _budget.BudgetError("signature space beyond 2^24 refused")
 
-    # per edge, list of (x-product vertex tuple, parity array of the Schur product)
-    pair_parity = np.zeros((k, k), dtype=np.uint8)
-    for i1 in range(k):
-        for i2 in range(k):
-            pair_parity[i1, i2] = (int(tvecs[i1]) & int(tvecs[i2])).bit_count() & 1
-
+    # per edge, list of (x-product vertex tuple, parity array of the Schur product);
+    # q of c - 1 vertices leaves one even-parity column, of parity 0, so r stops at c - 2
     edge_terms: list[list[tuple[tuple[int, ...], np.ndarray]]] = []
     for edge in edges:
         terms: list[tuple[tuple[int, ...], np.ndarray]] = []
-        if c == 3:
-            # simplified 3-edge constraint: only single-vertex x factors
-            for pos in range(3):
-                q = (edge[pos],)
-                rest = tuple(v for v in edge if v != edge[pos])
-                par = pair_parity[digits[:, rest[0]], digits[:, rest[1]]]
+        for r in range(1, c - 1):
+            for q in combinations(edge, r):
+                rest = tuple(v for v in edge if v not in q)
+                acc = tvecs[digits[:, rest[0]]]
+                for v in rest[1:]:
+                    acc = acc & tvecs[digits[:, v]]
+                par = (np.bitwise_count(acc.astype(np.uint64)) & 1).astype(np.uint8)
                 terms.append((q, par))
-        else:
-            for r in range(1, c):
-                for q in combinations(edge, r):
-                    rest = tuple(v for v in edge if v not in q)
-                    acc = tvecs[digits[:, rest[0]]]
-                    for v in rest[1:]:
-                        acc = acc & tvecs[digits[:, v]]
-                    par = (np.bitwise_count(acc.astype(np.uint64)) & 1).astype(np.uint8)
-                    terms.append((q, par))
         edge_terms.append(terms)
 
     hist = np.zeros(1 << len(edges), dtype=np.int64)

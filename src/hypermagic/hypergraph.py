@@ -109,14 +109,14 @@ def empty(n: int) -> Hypergraph:
 
 def degree_profile(g: Hypergraph) -> DegreeProfile:
     """Neighbour-set cardinalities; 1-edges contribute no neighbours."""
-    per = []
-    for j in range(g.n):
-        bit = 1 << j
-        neighbours = 0
-        for e in g.edges:
-            if e & bit:
-                neighbours |= e & ~bit
-        per.append(neighbours.bit_count())
+    reach = [0] * g.n  # union of the edges through each vertex: |edges| * c steps
+    for e in g.edges:
+        rest = e
+        while rest:
+            low = rest & -rest
+            reach[low.bit_length() - 1] |= e
+            rest ^= low
+    per = [(r & ~(1 << j)).bit_count() for j, r in enumerate(reach)]
     return DegreeProfile(tuple(per), Fraction(sum(per), g.n))
 
 

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypergraph import DegreeProfile, Hypergraph, degree_profile
-from .spectrum import (PauliSpectrum, moment_from_magnitudes, rank_moment, sparse_counts,
-                       star_trace_sum)
+from .spectrum import PauliSpectrum, moment_from_magnitudes, sparse_counts, star_trace_sum
 
 METHOD_DIRECT = "direct-spectrum"
 METHOD_STAR = "star-trace"
-METHOD_CLOSED = "closed-form"
 METHOD_RANK = "rank-class"
 
 
@@ -65,11 +63,6 @@ def sre_star(g: Hypergraph, alpha, budget: int | None = None) -> MagicReport:
     else:
         moment = float(total) / 2.0 ** float(denom_exp)
     return sre_from_moment(moment, alpha, METHOD_STAR)
-
-
-def sre_rank(g: Hypergraph, alpha) -> MagicReport:
-    """Entropy via the rank-class evaluation (edges of size <= 3 only)."""
-    return sre_from_moment(rank_moment(g, alpha), Fraction(alpha), METHOD_RANK)
 
 
 def degree_bound(g: Hypergraph, alpha, profile: DegreeProfile | None = None) -> float:

@@ -166,7 +166,8 @@ def suite_symmetric(max_n: int = 10) -> list[CheckResult]:
                 ("n-complete", 2, symmetric.closed_ncomplete))
     for family, first, closed in families:
         bad = [(n, alpha) for n in range(first, 41) for alpha in (Fraction(2), Fraction(1, 2))
-               if symmetric.pl_moment_reduced(c_complete(n, 3 if first == 3 else n), alpha)
+               if spectrum.moment_from_magnitudes(
+                   symmetric.reduced_magnitudes(c_complete(n, 3 if first == 3 else n)), n, alpha)
                != closed(n, alpha)]
         out.append(
             CheckResult(

@@ -520,10 +520,20 @@ class TestVerifyCmd:
         assert code == 0
         assert "PASS 3-complete Krawtchouk route n=3..40" in out
         assert "PASS n-complete Krawtchouk route n=2..40" in out
-        monkeypatch.setattr(symmetric, "pl_moment_reduced", lambda g, alpha: Fraction(1))
+        # the counts of a stabilizer state, whose moment is 1 at every alpha
+        monkeypatch.setattr(symmetric, "reduced_magnitudes", lambda g, layers=None: {2**g.n: 2**g.n})
         code, out, _ = run_cli(capsys, "verify", "symmetric")
         assert code == 3
         assert "FAIL 3-complete Krawtchouk route" in out and "FAIL n-complete Krawtchouk" in out
+
+    @pytest.mark.parametrize("flag,message", [("--n", "need 3 <= c <= n, got c=3, n=0"),
+                                              ("--samples", "need at least one sample")])
+    def test_concentration_zero_override_is_refused(self, capsys, flag, message):
+        # a zero override reaches the check; it does not fall back to the default
+        code, out, err = run_cli(capsys, "verify", "concentration", flag, "0")
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")

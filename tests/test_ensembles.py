@@ -30,7 +30,6 @@ from hypermagic.ensembles import (
     pool_workers,
     sample,
     solve_edge_budget,
-    sre_lower_bound_general,
     state_moment,
     variance_bound,
     _conc_worker,
@@ -356,9 +355,6 @@ class TestClosedFormsAndBounds:
         est = monte_carlo_moment(EnsembleSpec(3, 0.5, 10, 999), 3, 200)
         assert est.mean <= float(bound_e3_alpha(3, 10)) + 5 * est.stderr
 
-    def test_sre_lower_bound_general(self):
-        assert sre_lower_bound_general(3, 2, 20) == (20 - 11) / 1
-
 
 class TestCounting:
     def test_golden_n3(self):
@@ -390,9 +386,10 @@ class TestCounting:
         with pytest.raises(BudgetError):
             counting_N(3, 2, 8)
 
-    def test_general_c_path_against_enumeration(self):
-        # c = 4 exercises the multi-vertex q subsets
-        assert moment_from_counting(4, 2, 4) == exact_average(4, 4, Fraction(1, 2), 2)
+    @pytest.mark.parametrize("c,n", [(4, 4), (4, 5), (5, 5)])
+    def test_general_c_path_against_enumeration(self, c, n):
+        # c >= 4 exercises the multi-vertex q subsets
+        assert moment_from_counting(c, 2, n) == exact_average(n, c, Fraction(1, 2), 2)
 
 
 class TestVariance:

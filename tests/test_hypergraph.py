@@ -11,6 +11,7 @@ from hypermagic.hypergraph import (
     c_complete,
     cross_masks,
     degree_profile,
+    from_masks,
     from_text,
     induced_full,
     induced_star,
@@ -69,20 +70,28 @@ class TestCComplete:
 
 
 class TestDegreeProfile:
-    def test_fig1_profile(self):
-        # oracle: enumerate vertex pairs sharing an edge
-        n = FIG1.n
-        expected = []
-        for v in range(1, n + 1):
-            nb = set()
-            for e in FIG1.edge_vertex_sets():
-                if v in e:
-                    nb.update(u for u in e if u != v)
-            expected.append(len(nb))
-        prof = degree_profile(FIG1)
-        assert prof.per_vertex == tuple(expected)
-        assert prof.per_vertex == (3, 2, 4, 1, 2, 2)
-        assert prof.average == Fraction(sum(expected), n)
+    def test_fig1_profile(self, rng):
+        # random graphs each get a 1-vertex edge, which adds no neighbours
+        graphs = [FIG1, c_complete(62, 3)]
+        for _ in range(40):
+            n = int(rng.integers(1, 11))
+            g = random_graph(n, rng)
+            graphs.append(from_masks(n, {*g.edges, 1 << int(rng.integers(0, n))}))
+        for g in graphs:
+            # oracle: enumerate vertex pairs sharing an edge
+            expected = []
+            sets = g.edge_vertex_sets()
+            for v in range(1, g.n + 1):
+                nb = set()
+                for e in sets:
+                    if v in e:
+                        nb.update(u for u in e if u != v)
+                expected.append(len(nb))
+            prof = degree_profile(g)
+            assert prof.per_vertex == tuple(expected), g
+            assert prof.average == Fraction(sum(expected), g.n)
+        assert degree_profile(FIG1).per_vertex == (3, 2, 4, 1, 2, 2)
+        assert degree_profile(graphs[1]).per_vertex == (61,) * 62
 
     def test_three_complete_all_max(self):
         for n in (4, 6):

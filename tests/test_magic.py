@@ -11,12 +11,11 @@ from hypermagic.magic import (
     pl_moment,
     robustness_lower_bound,
     sre,
-    sre_rank,
     sre_star,
     trivial_bound,
 )
 from hypermagic.phasestate import from_hypergraph
-from hypermagic.spectrum import full_spectrum
+from hypermagic.spectrum import full_spectrum, rank_moment
 
 from conftest import random_graph, random_uniform3
 
@@ -102,7 +101,7 @@ class TestSreStar:
     def test_rank_route_matches(self, rng):
         for _ in range(6):
             g = random_uniform3(int(rng.integers(3, 7)), rng)
-            assert sre_rank(g, 2).pl_moment == sre_star(g, 2).pl_moment
+            assert rank_moment(g, 2) == sre_star(g, 2).pl_moment
 
     def test_exhaustive_small_graphs(self):
         # every hypergraph on 3 vertices with at most 4 edges

@@ -4,6 +4,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import numpy as np
 import pytest
@@ -438,7 +439,7 @@ class TestMomentEvaluator:
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(4, 5), Fraction(7, 3)])
     def test_float_moment_against_60_digit_reference(self, rng, alpha):
-        from hypermagic.symmetric import pl_moment_reduced, reduced_traces
+        from hypermagic.symmetric import reduced_magnitudes, reduced_traces
 
         with localcontext() as ctx:
             ctx.prec = 60
@@ -454,10 +455,12 @@ class TestMomentEvaluator:
                 # reduced route; reference 2^-n(1+2 alpha) sum mult |t|^{2 alpha} per class
                 layers = c_complete(n, 2).edges + c_complete(n, 3).edges
                 for g in (c_complete(n, 3), c_complete(n, n), from_masks(n, layers)):
-                    want = sum(cls.multiplicity * Decimal(abs(t)) ** (2 * a)
-                               for cls, t in reduced_traces(g) if t)
+                    want = sum(comb(n, m) * comb(m, m1) * comb(n - m, m0)
+                               * Decimal(abs(int(t))) ** (2 * a)
+                               for m, grid in enumerate(reduced_traces(g))
+                               for (m1, m0), t in np.ndenumerate(grid) if t)
                     want /= Decimal(2) ** (n * (1 + 2 * a))
-                    cases.append((pl_moment_reduced(g, alpha), want))
+                    cases.append((moment_from_magnitudes(reduced_magnitudes(g), n, alpha), want))
             for got, want in cases:
                 assert isinstance(got, float)
                 assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (got, want)

@@ -1,4 +1,4 @@
-"""Symmetry classes, reduced spectra, closed forms for complete families."""
+"""Krawtchouk grids and counts, closed forms for complete families."""
 
 import math
 from fractions import Fraction
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hypermagic.budget import BudgetError
-from hypermagic.hypergraph import build, c_complete, from_masks
-from hypermagic.magic import log2_of, pl_moment
+from hypermagic.hypergraph import build, c_complete, empty, from_masks
+from hypermagic.magic import log2_of, pl_moment, sre_from_moment
 from hypermagic.phasestate import from_hypergraph
 from hypermagic.spectrum import (
     full_spectrum,
@@ -23,13 +23,9 @@ from hypermagic.symmetric import (
     MAX_REDUCED_N,
     closed_3complete,
     closed_ncomplete,
-    closed_report,
     complete_layer_sizes,
-    pl_moment_reduced,
     reduced_magnitudes,
-    reduced_spectrum,
     reduced_traces,
-    symmetry_classes,
 )
 
 
@@ -42,11 +38,28 @@ def all_layer_sets(n: int):
     return [sizes for r in range(n + 1) for sizes in combinations(range(1, n + 1), r)]
 
 
-class TestSymmetryClasses:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_multiplicities_cover_all_paulis(self, n):
-        assert sum(c.multiplicity for c in symmetry_classes(n)) == 4**n
+def reduced_moment(g, alpha):
+    return moment_from_magnitudes(reduced_magnitudes(g), g.n, alpha)
 
+
+def closed_sre(family: str, n: int, alpha) -> float:
+    closed = {"3complete": closed_3complete, "ncomplete": closed_ncomplete}[family]
+    return sre_from_moment(closed(n, alpha), alpha, "closed-form").sre
+
+
+def per_class_counts(g, layers=None):
+    """|W| counts from the grids, one Python-int multiplicity per (m, m1, m0) class."""
+    n = g.n
+    counts = {}
+    for m, grid in enumerate(reduced_traces(g, layers)):
+        for (m1, m0), t in np.ndenumerate(grid):
+            if t:
+                mult = math.comb(n, m) * math.comb(m, m1) * math.comb(n - m, m0)
+                counts[abs(int(t))] = counts.get(abs(int(t)), 0) + mult
+    return counts
+
+
+class TestSymmetryClasses:
     def test_structural_invariance_check(self):
         complete_layer_sizes(c_complete(5, 3))
         with pytest.raises(ValueError):
@@ -55,20 +68,16 @@ class TestSymmetryClasses:
 
 class TestReducedSpectrum:
     def test_identity_class_component_one(self):
-        for cls, sq in reduced_spectrum(c_complete(4, 3)):
-            if (cls.m, cls.m1, cls.m0) == (0, 0, 0):
-                assert sq == 1
+        assert abs(reduced_traces(c_complete(4, 3))[0][0, 0]) == 2**4
 
     def test_ncomplete_m0_classes_vanish(self):
-        for cls, sq in reduced_spectrum(c_complete(5, 5)):
-            if cls.m == 0 and cls.m0 >= 1:
-                assert sq == 0
+        assert not reduced_traces(c_complete(5, 5))[0][0, 1:].any()
 
     def test_class_weighted_moment_equals_full(self):
         g = c_complete(6, 3)
         full = full_spectrum(from_hypergraph(g))
         for alpha in (2, Fraction(1, 2)):
-            assert pl_moment_reduced(g, alpha) == pl_moment(full, alpha)
+            assert reduced_moment(g, alpha) == pl_moment(full, alpha)
 
     def test_components_constant_within_class(self):
         # spot-check the symmetry observation itself: permuting positions
@@ -77,20 +86,16 @@ class TestReducedSpectrum:
         from hypermagic.spectrum import component_induced
 
         g = c_complete(5, 3)
-        reference = {}
-        for cls, sq in reduced_spectrum(g):
-            reference[(cls.m, cls.m1, cls.m0)] = sq
-        # a scattered representative of class m=2, m1=1, m0=1
+        # a scattered representative of class m=2, m1=1, m0=1:
+        # x bits {1,4}; z with one bit inside x {4} and one outside {2}
         x = 0b10010
-        z = 0b00110  # one z inside the x support (bit 1? no) -> compute
-        # x bits {1,4}; choose z with one bit inside x {4} and one outside {2}
         z = (1 << 4) | (1 << 2)
         got = component_induced(g, PauliIndex(x, z))
-        assert got == reference[(2, 1, 1)]
+        assert got == Fraction(int(reduced_traces(g)[2][1, 1]) ** 2, 4**5)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
-            reduced_spectrum(build(4, [(1, 2), (2, 3)]))
+            reduced_traces(build(4, [(1, 2), (2, 3)]))
 
 
 class TestKrawtchoukRoute:
@@ -102,7 +107,7 @@ class TestKrawtchoukRoute:
             want = sparse_counts(walsh_magnitudes(from_hypergraph(g)))
             assert reduced_magnitudes(g) == want, sizes
             for alpha in (2, Fraction(1, 2), 3):
-                moment = pl_moment_reduced(g, alpha)
+                moment = reduced_moment(g, alpha)
                 assert isinstance(moment, Fraction)
                 assert moment == moment_from_magnitudes(want, n, alpha), (sizes, alpha)
 
@@ -112,16 +117,31 @@ class TestKrawtchoukRoute:
         for n in range(3, MAX_REDUCED_N + 1):
             g = c_complete(n, 3 if family == "3complete" else n)
             for alpha in (2, Fraction(1, 2)):
-                assert pl_moment_reduced(g, alpha) == closed(n, alpha), (n, alpha)
+                assert reduced_moment(g, alpha) == closed(n, alpha), (n, alpha)
 
     def test_traces_are_signed_walsh_values(self):
         g = layered(5, (2, 3))
         w = np.vstack([block for _, block in walsh_blocks(from_hypergraph(g))])
-        for cls, t in reduced_traces(g):
-            # the class representative: X on the first m qubits, Z on m1 of them and m0 others
-            x = (1 << cls.m) - 1
-            z = ((1 << cls.m1) - 1) | (((1 << cls.m0) - 1) << cls.m)
-            assert t == int(w[x, z]), cls
+        grids = reduced_traces(g)
+        assert [grid.shape for grid in grids] == [(m + 1, 6 - m) for m in range(6)]
+        for m, grid in enumerate(grids):
+            for (m1, m0), t in np.ndenumerate(grid):
+                # the class representative: X on the first m qubits, Z on m1 of them and m0 others
+                x = (1 << m) - 1
+                z = ((1 << m1) - 1) | (((1 << m0) - 1) << m)
+                assert t == int(w[x, z]), (m, m1, m0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_counts_equal_per_class_reference(self, n):
+        for sizes in all_layer_sets(n):
+            g = layered(n, sizes)
+            assert reduced_magnitudes(g) == per_class_counts(g), sizes
+
+    @pytest.mark.parametrize("sizes", [(2,), (3,), (MAX_REDUCED_N,), (2, 3), (1, 31)])
+    def test_counts_equal_per_class_reference_at_n62(self, sizes):
+        # the layers are passed, so no graph is built: a 31-layer has C(62, 31) edges
+        g = empty(MAX_REDUCED_N)
+        assert reduced_magnitudes(g, sizes) == per_class_counts(g, sizes)
 
     def test_beyond_int64_range_is_a_budget_error(self):
         with pytest.raises(BudgetError, match="exact only up to n=62"):
@@ -140,7 +160,7 @@ class TestClosedForms:
     def test_n2_cz_is_clifford(self):
         assert closed_ncomplete(2, 2) == 1
         assert closed_ncomplete(2, Fraction(1, 2)) == 1
-        assert closed_report("ncomplete", 2, 2).sre == 0.0
+        assert closed_sre("ncomplete", 2, 2) == 0.0
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_3complete_matches_bruteforce(self, n):
@@ -162,20 +182,20 @@ class TestClosedForms:
 
     def test_3complete_m2_limit(self):
         # entropy tends to 3 from below as the moment tends to 1/8
-        val = closed_report("3complete", 40, 2).sre
+        val = closed_sre("3complete", 40, 2)
         assert math.isclose(val, 3.0, abs_tol=1e-8)
 
     def test_ncomplete_half_limit(self):
         # M_{1/2} increases monotonically to 2 log2 3
         prev = -1.0
         for n in range(2, 31):
-            cur = closed_report("ncomplete", n, Fraction(1, 2)).sre
+            cur = closed_sre("ncomplete", n, Fraction(1, 2))
             assert cur >= prev - 1e-12
             prev = cur
         assert abs(prev - 2 * math.log2(3)) < 1e-6
 
     def test_ncomplete_m2_decreasing_beyond_4(self):
-        values = [closed_report("ncomplete", n, 2).sre for n in range(4, 31)]
+        values = [closed_sre("ncomplete", n, 2) for n in range(4, 31)]
         for hi, lo in zip(values, values[1:]):
             assert lo < hi
 

@@ -33,9 +33,23 @@ ORACLES = {
 }
 
 
+# the names that `exact`, `ensemble`, `sweep` and the README quick start reach,
+# plus the types they return
+PUBLIC = {
+    "__version__", "BudgetError", "Hypergraph", "DegreeProfile", "PhaseState",
+    "PauliSpectrum", "MagicReport", "EnsembleSpec", "MomentEstimate",
+    "build", "from_masks", "from_text", "c_complete", "empty", "degree_profile",
+    "from_hypergraph", "full_spectrum", "pl_moment", "sre", "degree_bound",
+    "sample", "monte_carlo_moment", "exact_average", "bound_general", "avg_m2_p",
+    "solve_edge_budget",
+}
+
+
 def test_public_names_resolve_and_exclude_oracles():
     import hypermagic
 
+    assert len(hypermagic.__all__) == len(PUBLIC)
+    assert set(hypermagic.__all__) == PUBLIC
     for name in hypermagic.__all__:
         assert hasattr(hypermagic, name), f"{name} is in __all__ but not in the package"
     assert not set(hypermagic.__all__) & {*ORACLES, "CompositionVector"}
