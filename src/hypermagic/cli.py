@@ -8,6 +8,7 @@ command, seed, full flag set) so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,6 +269,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermagic",
@@ -304,10 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, help="sample override where applicable")
     p_verify.set_defaults(func=cmd_verify)
 
-    default_jobs = int(os.environ.get("HYPERMAGIC_JOBS", "1"))
     for sp in (p_exact, p_ens, p_sweep, p_verify):
         sp.add_argument("--seed", type=int, default=20240517, help="base RNG seed")
-        sp.add_argument("--jobs", type=int, default=default_jobs,
+        sp.add_argument("--jobs", type=int, default=None,  # None: read HYPERMAGIC_JOBS
                         help="worker parallelism (env HYPERMAGIC_JOBS)")
     for sp in (p_exact, p_ens, p_sweep):  # verify prints verdicts, not rows
         sp.add_argument("--budget", type=int, default=None, help="qubit budget override")
@@ -316,10 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _env_jobs() -> int:
+    raw = os.environ.get("HYPERMAGIC_JOBS", "1")
     try:
+        return int(raw)
+    except ValueError as exc:
+        raise UsageError(f"HYPERMAGIC_JOBS must be an integer, got {raw!r}") from exc
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one request; returns its exit code.
+
+    The parser is built once per process and reused by every call.
+    HYPERMAGIC_JOBS is read on each call that gives no --jobs.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if args.jobs is None:
+            args.jobs = _env_jobs()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

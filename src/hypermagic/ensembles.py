@@ -13,13 +13,11 @@ import bisect
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -167,6 +165,10 @@ def _map_tasks(worker, tasks: list, jobs: int) -> list:
     workers = pool_workers(jobs, len(tasks))
     if workers == 1:
         return [worker(t) for t in tasks]
+    # imported here so that a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     # spawned, not forked: the parent may already hold BLAS threads
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
@@ -439,6 +441,7 @@ def concentration_check(
     1 - 60/2^n may be negative at small n; the check is then vacuous but
     the fraction is still reported.
     """
+    EnsembleSpec(3, 0.5, n, seed).check()
     if samples < 1:
         raise ValueError("need at least one sample")
     _budget.check(n, _budget.sim_budget(budget), "concentration check")

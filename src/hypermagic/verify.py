@@ -165,10 +165,11 @@ def suite_symmetric(max_n: int = 10) -> list[CheckResult]:
     families = (("3-complete", 3, symmetric.closed_3complete),
                 ("n-complete", 2, symmetric.closed_ncomplete))
     for family, first, closed in families:
-        bad = [(n, alpha) for n in range(first, 41) for alpha in (Fraction(2), Fraction(1, 2))
-               if spectrum.moment_from_magnitudes(
-                   symmetric.reduced_magnitudes(c_complete(n, 3 if first == 3 else n)), n, alpha)
-               != closed(n, alpha)]
+        bad = []
+        for n in range(first, 41):
+            counts = symmetric.reduced_magnitudes(c_complete(n, 3 if first == 3 else n))
+            bad += [(n, alpha) for alpha in (Fraction(2), Fraction(1, 2))
+                    if spectrum.moment_from_magnitudes(counts, n, alpha) != closed(n, alpha)]
         out.append(
             CheckResult(
                 f"{family} Krawtchouk route n={first}..40",

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hypermagic import bitops, ensembles, hypergraph, phasestate, spectrum, symmetric
+from hypermagic import bitops, cli, ensembles, hypergraph, phasestate, spectrum, symmetric
 from hypermagic.cli import main, parse_builtin
 from hypermagic.hypergraph import build, c_complete, from_masks, to_text
 from hypermagic.symmetric import closed_ncomplete
@@ -359,6 +362,26 @@ class TestExact:
         assert code == 0
         assert "jobs=2" in out
 
+    def test_jobs_env_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("ensemble", "-c", "3", "-n", "4", "--exact", "--alpha", "2")
+        monkeypatch.delenv("HYPERMAGIC_JOBS", raising=False)
+        code, first, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("HYPERMAGIC_JOBS", "3")
+        code2, second, _ = run_cli(capsys, *argv)
+        assert (code, code2) == (0, 0)
+        assert " jobs=1 " in first and " jobs=3 " in second
+        assert data_rows(first) == data_rows(second)
+
+    def test_bad_jobs_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERMAGIC_JOBS", "abc")
+        code, out, err = run_cli(capsys, "exact", "--builtin", "ccz")
+        assert code == 2
+        assert err == "error: HYPERMAGIC_JOBS must be an integer, got 'abc'\n"
+        assert out == ""
+        # an explicit --jobs does not read the variable
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "ccz", "--jobs", "1")
+        assert code == 0 and "11/32" in out
+
     def test_budget_env_override(self, capsys, monkeypatch, tmp_path):
         source = with_z_edge(tmp_path, c_complete(4, 4))
         monkeypatch.setenv("HYPERMAGIC_SIM_BUDGET", "2")
@@ -535,6 +558,18 @@ class TestVerifyCmd:
         assert message in err
         assert out == ""
 
+    def test_symmetric_suite_counts_each_state_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, symmetric, "reduced_magnitudes")
+        code, _, _ = run_cli(capsys, "verify", "symmetric")
+        assert code == 0
+        assert calls[0] == (40 - 3 + 1) + (40 - 2 + 1)  # 3-complete and n-complete states
+
+    def test_concentration_negative_n_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "concentration", "--n", "-3")
+        assert code == 2
+        assert "need 3 <= c <= n, got c=3, n=-3" in err
+        assert out == ""
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bogus")
         assert code == 2
@@ -577,3 +612,61 @@ class TestDeterminism:
         assert main(argv + ["--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process."""
+
+    def test_built_once_over_many_calls(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["exact", "--builtin", "ccz"], ["sweep", "--gamma", "0.5"],
+                     ["verify", "counting"], ["exact", "--builtin", "empty:3"]):
+            main(argv)
+        capsys.readouterr()
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 3
+
+    def test_interleaved_requests_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        ens = ["ensemble", "-c", "3", "-p", "0.5", "-n", "6", "--samples", "8", "--seed", "3"]
+        requests = [  # (argv, whether it writes --output)
+            (["exact", "--builtin", "ccz", "--alpha", "2,1/2"], False),
+            (ens, False),
+            (["sweep", "--gamma", "0.5", "--n-range", "6:7"], False),
+            (["exact", "--builtin", "3complete:6", "--format", "json"], False),
+            (["exact", "--builtin", "3complete:6"], False),
+            (ens, True),
+            (ens, False),
+            (["ensemble", "-c", "3", "--samples", "8"], False),  # argparse: -n is required
+            (["exact", "--builtin", "ccz", "--alpha", "2,1/2"], False),
+        ]
+        for name in [k for k in os.environ if k.startswith("HYPERMAGIC_")]:
+            monkeypatch.delenv(name)
+
+        def argv_to(i, prefix):
+            argv, to_file = requests[i]
+            return [*argv, "--output", str(tmp_path / f"{prefix}{i}")] if to_file else argv
+
+        def written(i, prefix):
+            return (tmp_path / f"{prefix}{i}").read_bytes() if requests[i][1] else None
+
+        got = []
+        for i in range(len(requests)):
+            try:
+                code = main(argv_to(i, "in"))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err, written(i, "in")))
+
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        procs = [subprocess.Popen([sys.executable, "-m", "hypermagic.cli", *argv_to(i, "fresh")],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for i in range(len(requests))]
+        for i, proc in enumerate(procs):
+            out, err = proc.communicate(timeout=120)
+            assert got[i] == (proc.returncode, out, err, written(i, "fresh")), requests[i][0]
+        assert got[7][0] == 2
+        assert got[5][1] == "" and got[5][3] == got[6][1].encode()

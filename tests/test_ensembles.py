@@ -229,7 +229,7 @@ class TestWorkerPool:
         lambda jobs: concentration_check(5, 3, seed=2, jobs=jobs),
     ], ids=["monte_carlo_moment", "concentration_check"])
     def test_huge_jobs_reads_the_clamped_count(self, monkeypatch, run):
-        monkeypatch.setattr(ensembles, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "made", [])
         workers = pool_workers(10**6, 3)
         assert run(10**6) == run(1)

@@ -8,9 +8,13 @@ entry points only; the oracles stay importable from their own modules.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_traced_layer_is_a_package_function():
@@ -55,3 +59,13 @@ def test_public_names_resolve_and_exclude_oracles():
     assert not set(hypermagic.__all__) & {*ORACLES, "CompositionVector"}
     for name, mod_name in ORACLES.items():
         assert callable(getattr(importlib.import_module(f"hypermagic.{mod_name}"), name))
+
+
+def test_import_loads_no_process_pool():
+    # a one-worker run never starts a pool, so importing the package must not load one
+    probe = ("import sys, hypermagic, hypermagic.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
