@@ -83,12 +83,6 @@ def table_to_bits(table: int, n: int) -> np.ndarray:
     return bits[:size]
 
 
-def bits_to_table(bits: np.ndarray) -> int:
-    """Pack a 0/1 array back into a table integer."""
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def fwht(values: np.ndarray) -> np.ndarray:
     """In-place fast Walsh-Hadamard transform, natural (XOR) ordering.
 

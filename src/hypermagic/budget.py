@@ -29,12 +29,16 @@ class BudgetError(RuntimeError):
 
 
 def _resolve(override: int | None, env: str, default: int) -> int:
+    """The override, else the integer in the environment variable, else the default."""
     if override is not None:
         return override
     raw = os.environ.get(env)
-    if raw is not None:
+    if raw is None:
+        return default
+    try:
         return int(raw)
-    return default
+    except ValueError as exc:
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from exc
 
 
 def sim_budget(override: int | None = None) -> int:

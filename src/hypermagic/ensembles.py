@@ -1,10 +1,11 @@
-"""Random hypergraph state ensembles: sampling, moments, counting, bounds.
+"""Random hypergraph state ensembles: sampling, moments, bounds, the edge budget.
 
 The ensemble draws each of the C(n, c) possible c-edges independently with
-probability p.  Moment statistics come in four mutually checking flavours:
-Monte Carlo over samples, exhaustive enumeration over all edge subsets,
-the binary-counting reformulation (tuples of replica bit columns), and the
-closed forms for c = 3.
+probability p.  Moment statistics come from Monte Carlo over samples,
+exhaustive enumeration over all edge subsets, and, for c = 3, the closed
+form at p = 1/2 and the composition sum at any p.  The binary-counting
+reformulation (tuples of replica bit columns) that checks them is an
+oracle and lives in `hypermagic.verify`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -25,12 +25,10 @@ from . import budget as _budget
 from .hypergraph import Hypergraph, _c_edges, from_masks
 from .magic import log2_of
 from .phasestate import from_hypergraph
-from .spectrum import (_RANK_CHUNK, WALSH_MAX_N, _rank_histograms, moment_from_magnitudes,
-                       positive_alpha, rank_histogram, rank_magnitudes, sparse_counts,
-                       walsh_magnitudes)
+from .spectrum import (_RANK_CHUNK, WALSH_MAX_N, _batch_forms, _rank_histograms,
+                       moment_from_magnitudes, positive_alpha, rank_histogram, rank_magnitudes,
+                       sparse_counts, walsh_magnitudes)
 from .symmetric import complete_layer_sizes, reduced_magnitudes
-
-COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
 
 @dataclass(frozen=True)
@@ -78,31 +76,6 @@ class EdgeBudgetResult:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-@lru_cache(maxsize=16)
-def _edge_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-form table of the 3-edges: edge e adds val[e, s] to the flat forms at pos[e, s].
-
-    An edge {i, j, k} sets bit k of row j of B(e_i) for each of its six
-    orderings (the forms of `spectrum._rank_histograms`).  Every such bit
-    belongs to one edge, so the XOR of an edge set's forms is a sum.
-    """
-    orders = [list(permutations(v for v in range(n) if e >> v & 1)) for e in _c_edges(n, 3)]
-    pos = np.array([[i * n + j for i, j, _ in o] for o in orders], dtype=np.intp)
-    val = np.array([[float(1 << k) for _, _, k in o] for o in orders])
-    pos.setflags(write=False)
-    val.setflags(write=False)
-    return pos, val
-
-
-def _batch_forms(n: int, keep: np.ndarray) -> np.ndarray:
-    """Pair forms (graphs, n, n) of the 3-edge sets keep[g], as exact float64 sums."""
-    pos, val = _edge_forms(n)
-    graph, edge = np.nonzero(keep)
-    flat = np.bincount((pos[edge] + graph[:, None] * (n * n)).ravel(),
-                       weights=val[edge].ravel(), minlength=len(keep) * n * n)
-    return flat.reshape(len(keep), n, n)
 
 
 def _keep(spec: EnsembleSpec, index: int) -> np.ndarray:
@@ -316,103 +289,6 @@ def jensen_sre_lower_bound(mean_moment, alpha) -> float:
     return log2_of(mean_moment) / (1.0 - alpha)
 
 
-# ---------------------------------------------------------------------------
-# counting problems
-
-
-def _valid_tvectors(alpha: int) -> list[int]:
-    width = 2 * alpha
-    return [t for t in range(1 << width) if t.bit_count() % 2 == 0]
-
-
-def _counting_gate(c: int, alpha: int, n: int) -> None:
-    if int(alpha) != alpha or alpha < 2:
-        raise ValueError("counting problems are stated for integer alpha >= 2")
-    if not 3 <= c <= n:
-        raise ValueError("need 3 <= c <= n")
-    k = 2 ** (2 * alpha - 1)
-    work_bits = n * math.log2(k) + n
-    if work_bits > COUNTING_STATE_BITS:
-        raise _budget.BudgetError(
-            f"counting enumeration needs 2^{work_bits:.0f} states (limit 2^{COUNTING_STATE_BITS})"
-        )
-
-
-def signature_histogram(c: int, alpha: int, n: int) -> np.ndarray:
-    """Count (T, x) pairs by their per-edge constraint-violation signature.
-
-    Entry sig of the result is the number of column matrices T (every
-    column an even-parity 2 alpha-bit string) and masks x whose edge
-    constraints evaluate to the bit pattern sig.  The fully satisfied
-    count is entry 0; higher moments follow from the histogram since the
-    replica constraints add per replica.
-    """
-    _counting_gate(c, alpha, n)
-    tvecs = np.asarray(_valid_tvectors(alpha), dtype=np.int64)
-    k = len(tvecs)
-    m_total = k**n
-    digits = np.empty((m_total, n), dtype=np.int64)
-    base = np.arange(m_total, dtype=np.int64)
-    for i in range(n):
-        digits[:, i] = (base // k**i) % k
-    edges = list(combinations(range(n), c))
-    if len(edges) > 24:
-        raise _budget.BudgetError("signature space beyond 2^24 refused")
-
-    # per edge, list of (x-product vertex tuple, parity array of the Schur product);
-    # q of c - 1 vertices leaves one even-parity column, of parity 0, so r stops at c - 2
-    edge_terms: list[list[tuple[tuple[int, ...], np.ndarray]]] = []
-    for edge in edges:
-        terms: list[tuple[tuple[int, ...], np.ndarray]] = []
-        for r in range(1, c - 1):
-            for q in combinations(edge, r):
-                rest = tuple(v for v in edge if v not in q)
-                acc = tvecs[digits[:, rest[0]]]
-                for v in rest[1:]:
-                    acc = acc & tvecs[digits[:, v]]
-                par = (np.bitwise_count(acc.astype(np.uint64)) & 1).astype(np.uint8)
-                terms.append((q, par))
-        edge_terms.append(terms)
-
-    hist = np.zeros(1 << len(edges), dtype=np.int64)
-    zeros = np.zeros(m_total, dtype=np.uint8)
-    for x in range(1 << n):
-        sig = np.zeros(m_total, dtype=np.int64)
-        for eidx, terms in enumerate(edge_terms):
-            bit = zeros.copy()
-            for q, par in terms:
-                if all((x >> v) & 1 for v in q):
-                    bit ^= par
-            sig |= bit.astype(np.int64) << eidx
-        hist += np.bincount(sig, minlength=hist.size)
-    return hist
-
-
-def counting_N(c: int, alpha: int, n: int) -> int:
-    """Number of (T, x) tuples satisfying every edge constraint."""
-    return int(signature_histogram(c, alpha, n)[0])
-
-
-def counting_N_tau(c: int, alpha: int, n: int, tau: int) -> int:
-    """Tuple count for the tau-th moment; tau in {1, 2}.
-
-    Constraints add over replica blocks, so a pair of blocks satisfies the
-    joint constraint iff their violation signatures coincide; the tau = 2
-    count is the sum of squared histogram entries.
-    """
-    if tau == 1:
-        return counting_N(c, alpha, n)
-    if tau == 2:
-        hist = signature_histogram(c, alpha, n)
-        return int(sum(int(v) * int(v) for v in hist))
-    raise ValueError("tau >= 3 moments are out of scope")
-
-
-def moment_from_counting(c: int, alpha: int, n: int, tau: int = 1) -> Fraction:
-    """<m_alpha^tau> = N^(tau) / 2^{2 tau alpha n}."""
-    return Fraction(counting_N_tau(c, alpha, n, tau), 2 ** (2 * tau * alpha * n))
-
-
 def variance_bound(n: int) -> Fraction:
     """Upper bound 60 / 2^{3n} on the variance of the second moment."""
     if n < 3:
@@ -481,31 +357,6 @@ def composition_f(kappa: tuple[int, ...]) -> int:
         + k3p * k1m * k2m
         + k1p * k2p * k3p
     )
-
-
-_PAIR_ODD = np.array(
-    [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8
-)
-
-
-def odd_triples_bruteforce(kappa: tuple[int, ...]) -> int:
-    """Independent validator of composition_f: count odd triples by labels."""
-    labels: list[tuple[int, int]] = []  # (class, x)
-    for idx, count in enumerate(kappa):
-        cls, xbit = idx // 2, 1 - idx % 2  # even slots are the + (x=1) parts
-        labels.extend([(cls, xbit)] * count)
-    total = 0
-    for u, v, w in combinations(range(len(labels)), 3):
-        cu, xu = labels[u]
-        cv, xv = labels[v]
-        cw, xw = labels[w]
-        odd = (
-            xu * int(_PAIR_ODD[cv, cw])
-            + xv * int(_PAIR_ODD[cu, cw])
-            + xw * int(_PAIR_ODD[cu, cv])
-        ) % 2
-        total += odd
-    return total
 
 
 def _avg_m2_half_exact(n: int) -> Fraction:

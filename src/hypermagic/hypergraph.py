@@ -1,9 +1,14 @@
-"""Hypergraphs as bitmask edge sets, degree statistics, and induced graphs.
+"""Hypergraphs as bitmask edge sets, degree statistics, and induced pair layers.
 
-The induced hypergraphs are the engine behind every Pauli-component
-formula in this package: the squared component of the Pauli indexed by
-(x, z) on a hypergraph state equals (2^-n Tr U)^2 of the phase unitary of
-the graph induced from the original one by (x, z).
+The squared component of the Pauli indexed by (x, z) on a hypergraph state
+equals (2^-n Tr U)^2 of the phase unitary of the graph induced from the
+original one by (x, z).  This module keeps the parts of that induced graph
+that `spectrum.star_trace_sum` and the benchmark's tracer read: its edges
+of two or more vertices (`_edges_at_least_two`), and for graphs with edges
+of at most three vertices, the third-vertex masks of its pairs
+(`cross_masks`).  The fully induced graph and the `PauliIndex` it is built
+from live in `hypermagic.verify`, whose `prop1` suite checks the trace
+identity.
 """
 
 from __future__ import annotations
@@ -47,20 +52,6 @@ class DegreeProfile:
 
     per_vertex: tuple[int, ...]
     average: Fraction
-
-
-@dataclass(frozen=True)
-class PauliIndex:
-    """(x, z) bitmask pair labelling a Pauli string X^x Z^z (phase dropped)."""
-
-    x: int
-    z: int
-
-    def check(self, n: int) -> None:
-        if self.x < 0 or self.x >> n:
-            raise ValueError(f"x mask {self.x:#x} does not fit in {n} bits")
-        if self.z < 0 or self.z >> n:
-            raise ValueError(f"z mask {self.z:#x} does not fit in {n} bits")
 
 
 def _canonical(n: int, masks: Iterable[int]) -> tuple[int, ...]:
@@ -144,35 +135,6 @@ def _edges_at_least_two(g: Hypergraph, x: int) -> list[int]:
     return [m for m, bitval in acc.items() if bitval]
 
 
-def _one_edges_full(g: Hypergraph, x: int, z: int) -> list[int]:
-    """1-edges of the fully induced graph: z_j plus edge-product parities."""
-    out = []
-    for j in range(g.n):
-        bit = 1 << j
-        t = (z >> j) & 1
-        for e in g.edges:
-            if e & bit and e != bit and (e & ~bit) & ~x == 0:
-                t ^= 1
-        if t:
-            out.append(bit)
-    return out
-
-
-def induced_full(g: Hypergraph, p: PauliIndex) -> Hypergraph:
-    """Induced hypergraph whose phase-unitary trace gives the (x, z) component."""
-    p.check(g.n)
-    masks = _one_edges_full(g, p.x, p.z) + _edges_at_least_two(g, p.x)
-    return Hypergraph(g.n, _canonical(g.n, masks))
-
-
-def induced_star(g: Hypergraph, p: PauliIndex) -> Hypergraph:
-    """Induced graph with the simplified 1-edge layer: 1-edges exactly at z bits."""
-    p.check(g.n)
-    masks = [1 << j for j in range(g.n) if (p.z >> j) & 1]
-    masks += _edges_at_least_two(g, p.x)
-    return Hypergraph(g.n, _canonical(g.n, masks))
-
-
 def cross_masks(g: Hypergraph) -> dict[tuple[int, int], int]:
     """For graphs with all edges of size <= 3: map (j, k) -> mask of third vertices.
 
@@ -234,15 +196,12 @@ def from_text(stream: IO[str] | str) -> Hypergraph:
 __all__ = [
     "Hypergraph",
     "DegreeProfile",
-    "PauliIndex",
     "MAX_VERTICES",
     "build",
     "from_masks",
     "c_complete",
     "empty",
     "degree_profile",
-    "induced_full",
-    "induced_star",
     "cross_masks",
     "to_text",
     "from_text",

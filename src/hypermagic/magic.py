@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypergraph import DegreeProfile, Hypergraph, degree_profile
-from .spectrum import PauliSpectrum, moment_from_magnitudes, sparse_counts, star_trace_sum
+from .spectrum import PauliSpectrum, moment_from_magnitudes, sparse_counts
 
 METHOD_DIRECT = "direct-spectrum"
-METHOD_STAR = "star-trace"
 METHOD_RANK = "rank-class"
 
 
@@ -51,18 +50,6 @@ def sre(spectrum: PauliSpectrum, alpha) -> MagicReport:
     """Entropy from a materialized spectrum (Renyi of the component distribution)."""
     alpha = Fraction(alpha)
     return sre_from_moment(pl_moment(spectrum, alpha), alpha, METHOD_DIRECT)
-
-
-def sre_star(g: Hypergraph, alpha, budget: int | None = None) -> MagicReport:
-    """Entropy via the star-graph trace sum, no 4^n table materialized."""
-    alpha = Fraction(alpha)
-    total = star_trace_sum(g, alpha, budget)
-    denom_exp = g.n * (1 + 2 * alpha)
-    if isinstance(total, int) and denom_exp.denominator == 1:
-        moment: Fraction | float = Fraction(total, 2 ** int(denom_exp))
-    else:
-        moment = float(total) / 2.0 ** float(denom_exp)
-    return sre_from_moment(moment, alpha, METHOD_STAR)
 
 
 def degree_bound(g: Hypergraph, alpha, profile: DegreeProfile | None = None) -> float:

@@ -1,40 +1,38 @@
-"""Exact Pauli spectra of hypergraph states by independent routes.
+"""Exact Pauli spectra of hypergraph states: the Walsh and rank routes.
 
-Three ways to the same numbers, kept deliberately redundant:
-
-* `component_direct` sums the phase function over the basis (state overlap);
-* `component_induced` traces the phase unitary of the induced hypergraph;
-* `walsh_blocks` is the batched direct route: the derivative Walsh table
-  W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a}, a few rows at a time.
-
-`walsh_blocks` transforms each block of about 2^15 entries with two
-float32 matrix products by the Kronecker factors H_{2^floor(n/2)} and
-H_{2^ceil(n/2)} of the Sylvester-Hadamard matrix.  Every partial sum is an
-integer of size at most 2^n, so the products are exact up to n = 24, where
-the kernel stops.  `full_spectrum` stores all 4^n squares from it;
-`walsh_magnitudes` streams them into a histogram of |W| in O(2^n + block)
-memory, from which every moment order follows.  That histogram is the
-route of `ensembles.state_counts` for a graph with an edge of four or more
-vertices that is not a union of complete layers.  The spectrum budget picks
-no route: it bounds only the 4^n table of `full_spectrum`.
+`walsh_blocks` computes the derivative Walsh table
+W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a}, a few rows at a time, where
+v = (-1)^f is the state's sign table.  It transforms each block of about
+2^15 entries with two float32 matrix products by the Kronecker factors
+H_{2^floor(n/2)} and H_{2^ceil(n/2)} of the Sylvester-Hadamard matrix.
+Every partial sum is an integer of size at most 2^n, so the products are
+exact up to n = 24, where the kernel stops.  `full_spectrum` stores all
+4^n squares from it; `walsh_magnitudes` streams them into a histogram of
+|W| in O(2^n + block) memory, from which every moment order follows.  That
+histogram is the route of `ensembles.state_counts` for a graph with an
+edge of four or more vertices that is not a union of complete layers.  The
+spectrum budget picks no route: it bounds only the 4^n table of
+`full_spectrum`.
 
 `rank_moment` evaluates the moment in closed form per X mask for graphs
 whose edges have at most three vertices, from the GF(2) rank of the
-induced pair-edge form.  One kernel, `_rank_histograms`, ranks the forms
-of a stack of graphs: every (graph, mask) column, by one GF(2) elimination
-per chunk of at most 2^13 columns.  `rank_histogram` is its one-graph
-call, the route of `ensembles.state_counts` for every other graph whose
-edges have at most three vertices; the c = 3 ensemble enumeration and
-Monte Carlo samples hand it many graphs at once.
+induced pair-edge form.  One function, `_batch_forms`, sums the forms of
+a stack of 3-edge sets from a per-edge table, and one kernel,
+`_rank_histograms`, ranks them: every (graph, mask) column, by one GF(2)
+elimination per chunk of at most 2^13 columns.  `rank_histogram` is their
+one-graph call, the route of `ensembles.state_counts` for every other
+graph whose edges have at most three vertices; the c = 3 ensemble
+enumeration and Monte Carlo samples hand them many graphs at once.
 
 `moment_from_magnitudes` is the one production moment evaluator: every
 route hands it sparse |W| counts as Python ints, through `sparse_counts`
 (Walsh histograms) or `rank_magnitudes` (rank histograms).
 
 `star_trace_sum`, the moment accumulator over the simplified induced
-graphs with one Walsh transform per X mask, and `component_induced` are
-oracles only: the tests and `verify` check the production routes against
-them.
+graphs with one Walsh transform per X mask, is an oracle only: the tests
+and the benchmark's correctness check compare the production routes with
+it.  The single-component oracles, by basis overlap and by the trace of the
+induced hypergraph, live in `hypermagic.verify`.
 """
 
 from __future__ import annotations
@@ -43,20 +41,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import IO
 
 import numpy as np
 
 from . import budget as _budget
 from .bitops import fwht, superset_table, table_to_bits
-from .hypergraph import (
-    Hypergraph,
-    PauliIndex,
-    _edges_at_least_two,
-    cross_masks,
-    induced_full,
-)
-from .phasestate import PhaseState, from_hypergraph, trace_of_state
+from .hypergraph import Hypergraph, _c_edges, _edges_at_least_two
+from .phasestate import PhaseState
 
 
 @dataclass(frozen=True)
@@ -94,6 +87,9 @@ class PauliSpectrum:
         return np.bincount(mags.ravel(), minlength=(1 << self.n) + 1)
 
 
+EXACT_MOMENT_MAX_BITS = 14_000  # 4,215 decimal digits, under str(int)'s default limit of 4,300
+
+
 def positive_alpha(alpha) -> Fraction:
     """The moment order as a Fraction; ValueError unless it is positive."""
     alpha = Fraction(alpha)
@@ -112,10 +108,22 @@ def moment_from_magnitudes(counts: dict[int, int], n: int, alpha) -> Fraction | 
     by |ln| of the base (up to about 2n ln 2), and `math.fsum` adds the
     terms: the result is not correctly rounded, and its error grows with n.
     Every production route hands its counts, as Python ints, to this sum.
+
+    The exact moment has the denominator 2^(n (2 alpha + 1)), and for
+    alpha >= 1 a numerator no larger (the moment is at most 1).  When that
+    denominator has more than EXACT_MOMENT_MAX_BITS = 14,000 bits,
+    BudgetError is raised before any power is taken, so every exact moment
+    returned prints under Python's default 4,300-digit limit on int-to-str
+    conversion.
     """
     alpha = positive_alpha(alpha)
     if (2 * alpha).denominator == 1:
         e = int(2 * alpha)
+        bits = n * (e + 1)
+        if bits > EXACT_MOMENT_MAX_BITS:
+            raise _budget.BudgetError(
+                f"exact moment at n={n}, alpha={alpha} has a {bits}-bit denominator; "
+                f"the limit is {EXACT_MOMENT_MAX_BITS} bits")
         return Fraction(sum(c * m**e for m, c in counts.items()), 2 ** (n * (1 + e)))
     a, scale = float(alpha), 4**n
     return math.fsum(c * (m * m / scale) ** a for m, c in counts.items()) / 2**n
@@ -125,29 +133,6 @@ def sparse_counts(hist: np.ndarray) -> dict[int, int]:
     """{m: hist[m]} for every nonzero magnitude m with a nonzero count."""
     mags = np.flatnonzero(hist[1:]) + 1
     return dict(zip(mags.tolist(), hist[mags].tolist()))
-
-
-def component_direct(state: PhaseState, p: PauliIndex) -> Fraction:
-    """Signed component 2^-n sum_a (-1)^{f(a) + f(a^x) + z.a}, exact.
-
-    The sign is relative to the dropped global Pauli phase; its square is
-    the physical quantity.
-    """
-    p.check(state.n)
-    size = 1 << state.n
-    bits = state.sign_bits()
-    idx = np.arange(size)
-    total = bits ^ bits[idx ^ p.x]
-    if p.z:
-        total = total ^ (np.bitwise_count(idx & p.z) & 1).astype(np.uint8)
-    flips = int(total.sum())
-    return Fraction(size - 2 * flips, size)
-
-
-def component_induced(g: Hypergraph, p: PauliIndex, budget: int | None = None) -> Fraction:
-    """Squared component via the induced-hypergraph trace identity."""
-    t = trace_of_state(from_hypergraph(induced_full(g, p), budget))
-    return Fraction(t * t, 4**g.n)
 
 
 WALSH_MAX_N = 24  # float32 holds every integer of size <= 2^24 exactly
@@ -275,28 +260,58 @@ def star_trace_sum(g: Hypergraph, alpha, budget: int | None = None):
 _RANK_CHUNK = 1 << 13
 
 
+@lru_cache(maxsize=16)
+def _edge_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-form table of the 3-edges: edge e adds val[e, s] to the flat forms at pos[e, s].
+
+    An edge {i, j, k} sets bit k of row j of B(e_i) for each of its six
+    orderings (the forms of `_rank_histograms`).  Every such bit belongs to
+    one edge, so the XOR of an edge set's forms is a sum.
+    """
+    edges = np.array(_c_edges(n, 3))
+    vertices = np.nonzero((edges[:, None] >> np.arange(n)) & 1)[1].reshape(-1, 3)
+    orders = vertices[:, list(permutations(range(3)))]  # (edge, ordering, (i, j, k))
+    pos = orders[..., 0] * n + orders[..., 1]
+    val = np.ldexp(1.0, orders[..., 2])
+    pos.setflags(write=False)
+    val.setflags(write=False)
+    return pos, val
+
+
+def _batch_forms(n: int, keep: np.ndarray) -> np.ndarray:
+    """Pair forms (graphs, n, n) of the 3-edge sets keep[g], as exact float64 sums.
+
+    keep[g, e] says whether graph g has edge e of `_c_edges(n, 3)`.
+    """
+    pos, val = _edge_forms(n)
+    graph, edge = np.nonzero(keep)
+    flat = np.bincount((pos[edge] + graph[:, None] * (n * n)).ravel(),
+                       weights=val[edge].ravel(), minlength=len(keep) * n * n)
+    return flat.reshape(len(keep), n, n)
+
+
 def rank_histogram(g: Hypergraph, chunk: int = _RANK_CHUNK) -> np.ndarray:
     """Histogram over x of the GF(2) rank of the induced pair-edge form.
 
     Only valid when every edge has at most three vertices: then the
     induced edges of size >= 2 are exactly the pairs {j, k} flagged by the
     parity of x over the matching third vertices, a symmetric zero-diagonal
-    GF(2) matrix B(x).  Ranks of such forms are even.  The forms of one
-    graph go through `_rank_histograms`, at most `chunk` masks at a time.
+    GF(2) matrix B(x).  Ranks of such forms are even.  The graph's 3-edges
+    give its forms by `_batch_forms`, as the ensembles build theirs, and
+    the forms go through `_rank_histograms`, at most `chunk` masks at a time.
     """
+    if g.max_edge_size() > 3:
+        raise ValueError("rank_histogram requires every edge to have at most 3 vertices")
     n = g.n
-    pairs = cross_masks(g)
-    if not pairs:
+    triples = [e for e in g.edges if e.bit_count() == 3]
+    if not triples:
         hist = np.zeros(n + 1, dtype=np.int64)
         hist[0] = 1 << n
         return hist
-    third = np.zeros((n, n), dtype=np.int64)
-    for (j, k), m in pairs.items():
-        third[j, k] = third[k, j] = m
-    vertex = np.arange(n)
-    # form[i, j]: row j of B(e_i), bit k set iff {i, j, k} is an edge
-    form = (((third >> vertex[:, None, None]) & 1) << vertex).sum(axis=2)
-    return _rank_histograms(form[None], chunk)[0]
+    edges = _c_edges(n, 3)  # sorted, so searchsorted finds each triple's index
+    keep = np.zeros((1, len(edges)), dtype=bool)
+    keep[0, np.searchsorted(edges, triples)] = True
+    return _rank_histograms(_batch_forms(n, keep), chunk)[0]
 
 
 def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:

@@ -1,20 +1,28 @@
-"""Cross-route invariant suites: every analytic path against its oracle.
+"""Cross-route invariant suites, and the oracles they run.
 
 Each suite returns a list of named checks; the CLI prints one verdict per
 check and exits nonzero on any failure.  The same functions back the
 acceptance tests so the command line and the test suite cannot drift.
+The oracles here, Pauli components by two routes (`prop1`), generalized
+stabilizers (`obs1`) and tuple counting (`counting`), are checks that no
+`exact`, `ensemble` or `sweep` request runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from . import ensembles, magic, spectrum, symmetric
-from .hypergraph import Hypergraph, PauliIndex, c_complete, from_masks
-from .phasestate import apply_stabilizer, from_hypergraph, stabilizer_word
+from . import budget as _budget, ensembles, magic, spectrum, symmetric
+from .bitops import _bit_table, iter_subsets, superset_table
+from .hypergraph import Hypergraph, _edges_at_least_two, c_complete, from_masks
+from .phasestate import PhaseState, from_hypergraph
+
+COUNTING_STATE_BITS = 28  # enumeration gate: K^n * 2^n <= 2^28
 
 
 @dataclass(frozen=True)
@@ -22,6 +30,227 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+
+
+@dataclass(frozen=True)
+class PauliIndex:
+    """(x, z) bitmask pair labelling a Pauli string X^x Z^z (phase dropped)."""
+
+    x: int
+    z: int
+
+    def check(self, n: int) -> None:
+        if self.x < 0 or self.x >> n:
+            raise ValueError(f"x mask {self.x:#x} does not fit in {n} bits")
+        if self.z < 0 or self.z >> n:
+            raise ValueError(f"z mask {self.z:#x} does not fit in {n} bits")
+
+
+def _one_edges_full(g: Hypergraph, x: int, z: int) -> list[int]:
+    """1-edges of the fully induced graph: z_j plus edge-product parities."""
+    out = []
+    for j in range(g.n):
+        bit = 1 << j
+        t = (z >> j) & 1
+        for e in g.edges:
+            if e & bit and e != bit and (e & ~bit) & ~x == 0:
+                t ^= 1
+        if t:
+            out.append(bit)
+    return out
+
+
+def induced_full(g: Hypergraph, p: PauliIndex) -> Hypergraph:
+    """Induced hypergraph whose phase-unitary trace gives the (x, z) component."""
+    p.check(g.n)
+    masks = _one_edges_full(g, p.x, p.z) + _edges_at_least_two(g, p.x)
+    return from_masks(g.n, masks)
+
+
+def trace_of_state(state: PhaseState) -> int:
+    """Trace of the diagonal unitary with these signs: 2^n - 2 * popcount."""
+    return (1 << state.n) - 2 * state.signs.bit_count()
+
+
+def component_direct(state: PhaseState, p: PauliIndex) -> Fraction:
+    """Signed component 2^-n sum_a (-1)^{f(a) + f(a^x) + z.a}, exact.
+
+    The sign is relative to the dropped global Pauli phase; its square is
+    the physical quantity.
+    """
+    p.check(state.n)
+    size = 1 << state.n
+    bits = state.sign_bits()
+    idx = np.arange(size)
+    total = bits ^ bits[idx ^ p.x]
+    if p.z:
+        total = total ^ (np.bitwise_count(idx & p.z) & 1).astype(np.uint8)
+    flips = int(total.sum())
+    return Fraction(size - 2 * flips, size)
+
+
+def component_induced(g: Hypergraph, p: PauliIndex, budget: int | None = None) -> Fraction:
+    """Squared component via the induced-hypergraph trace identity."""
+    t = trace_of_state(from_hypergraph(induced_full(g, p), budget))
+    return Fraction(t * t, 4**g.n)
+
+
+@dataclass(frozen=True)
+class StabilizerWord:
+    """A generalized stabilizer: X mask times a product of phase gates.
+
+    The X part equals the generator selector; `phase_edges` is the
+    mod-2-reduced multiset of controlled-Z supports; `sign` carries the
+    accumulated -1 factors from gates whose support emptied out.
+    """
+
+    x_part: int
+    phase_edges: tuple[int, ...]
+    sign: int
+
+
+def stabilizer_word(g: Hypergraph, s: int) -> StabilizerWord:
+    """Expand the product of the selected generators into X and phase parts.
+
+    For each edge e and each nonempty q inside supp(s) & e the gate on
+    e \\ q is toggled; gates whose support vanishes entirely contribute a
+    global -1 each (the empty-support gate convention).
+    """
+    if s < 0 or s >> g.n:
+        raise ValueError(f"selector {s:#x} outside {g.n} bits")
+    acc: dict[int, int] = {}
+    minus_count = 0
+    for e in g.edges:
+        for q in iter_subsets(s & e):
+            if q == 0:
+                continue
+            target = e & ~q
+            if target == 0:
+                minus_count ^= 1
+            else:
+                acc[target] = acc.get(target, 0) ^ 1
+    edges = tuple(sorted(m for m, v in acc.items() if v))
+    return StabilizerWord(x_part=s, phase_edges=edges, sign=-1 if minus_count else 1)
+
+
+def _xor_permute_table(table: int, n: int, s: int) -> int:
+    """Relabel the table index a -> a ^ s (block swaps per set bit of s)."""
+    for b in range(n):
+        if not (s >> b) & 1:
+            continue
+        hi = _bit_table(n, b)
+        lo = hi >> (1 << b)  # complement pattern within each block pair
+        shift = 1 << b
+        table = ((table & hi) >> shift) | ((table & lo) << shift)
+    return table
+
+
+def apply_stabilizer(state: PhaseState, word: StabilizerWord) -> PhaseState:
+    """Apply phase gates, then the X-mask basis relabeling, then the sign."""
+    signs = state.signs
+    for e in word.phase_edges:
+        signs ^= superset_table(state.n, e)
+    signs = _xor_permute_table(signs, state.n, word.x_part)
+    if word.sign == -1:
+        signs ^= (1 << (1 << state.n)) - 1
+    return PhaseState(state.n, signs)
+
+
+def _valid_tvectors(alpha: int) -> list[int]:
+    width = 2 * alpha
+    return [t for t in range(1 << width) if t.bit_count() % 2 == 0]
+
+
+def _counting_gate(c: int, alpha: int, n: int) -> None:
+    if int(alpha) != alpha or alpha < 2:
+        raise ValueError("counting problems are stated for integer alpha >= 2")
+    if not 3 <= c <= n:
+        raise ValueError("need 3 <= c <= n")
+    k = 2 ** (2 * alpha - 1)
+    work_bits = n * math.log2(k) + n
+    if work_bits > COUNTING_STATE_BITS:
+        raise _budget.BudgetError(
+            f"counting enumeration needs 2^{work_bits:.0f} states (limit 2^{COUNTING_STATE_BITS})"
+        )
+
+
+def signature_histogram(c: int, alpha: int, n: int) -> np.ndarray:
+    """Count (T, x) pairs by their per-edge constraint-violation signature.
+
+    Entry sig of the result is the number of column matrices T (every
+    column an even-parity 2 alpha-bit string) and masks x whose edge
+    constraints evaluate to the bit pattern sig.  The fully satisfied
+    count is entry 0; higher moments follow from the histogram since the
+    replica constraints add per replica.
+    """
+    _counting_gate(c, alpha, n)
+    tvecs = np.asarray(_valid_tvectors(alpha), dtype=np.int64)
+    k = len(tvecs)
+    m_total = k**n
+    digits = np.empty((m_total, n), dtype=np.int64)
+    base = np.arange(m_total, dtype=np.int64)
+    for i in range(n):
+        digits[:, i] = (base // k**i) % k
+    edges = list(combinations(range(n), c))
+    if len(edges) > 24:
+        raise _budget.BudgetError("signature space beyond 2^24 refused")
+
+    # per edge, list of (x-product vertex tuple, parity array of the Schur product);
+    # q of c - 1 vertices leaves one even-parity column, of parity 0, so r stops at c - 2
+    edge_terms: list[list[tuple[tuple[int, ...], np.ndarray]]] = []
+    for edge in edges:
+        terms: list[tuple[tuple[int, ...], np.ndarray]] = []
+        for r in range(1, c - 1):
+            for q in combinations(edge, r):
+                rest = tuple(v for v in edge if v not in q)
+                acc = tvecs[digits[:, rest[0]]]
+                for v in rest[1:]:
+                    acc = acc & tvecs[digits[:, v]]
+                par = (np.bitwise_count(acc.astype(np.uint64)) & 1).astype(np.uint8)
+                terms.append((q, par))
+        edge_terms.append(terms)
+
+    hist = np.zeros(1 << len(edges), dtype=np.int64)
+    zeros = np.zeros(m_total, dtype=np.uint8)
+    for x in range(1 << n):
+        sig = np.zeros(m_total, dtype=np.int64)
+        for eidx, terms in enumerate(edge_terms):
+            bit = zeros.copy()
+            for q, par in terms:
+                if all((x >> v) & 1 for v in q):
+                    bit ^= par
+            sig |= bit.astype(np.int64) << eidx
+        hist += np.bincount(sig, minlength=hist.size)
+    return hist
+
+
+def counting_N(c: int, alpha: int, n: int) -> int:
+    """Number of (T, x) tuples satisfying every edge constraint."""
+    return int(signature_histogram(c, alpha, n)[0])
+
+
+def counting_N_tau(c: int, alpha: int, n: int, tau: int) -> int:
+    """Tuple count for the tau-th moment; tau in {1, 2}.
+
+    Constraints add over replica blocks, so a pair of blocks satisfies the
+    joint constraint iff their violation signatures coincide; the tau = 2
+    count is the sum of squared histogram entries.
+    """
+    if tau == 1:
+        return counting_N(c, alpha, n)
+    if tau == 2:
+        hist = signature_histogram(c, alpha, n)
+        return int(sum(int(v) * int(v) for v in hist))
+    raise ValueError("tau >= 3 moments are out of scope")
+
+
+def moment_from_counting(c: int, alpha: int, n: int, tau: int = 1) -> Fraction:
+    """<m_alpha^tau> = N^(tau) / 2^{2 tau alpha n}."""
+    return Fraction(counting_N_tau(c, alpha, n, tau), 2 ** (2 * tau * alpha * n))
+
+
+# ---------------------------------------------------------------------------
+# suites
 
 
 def random_hypergraph(n: int, rng: np.random.Generator, max_edges: int = 6) -> Hypergraph:
@@ -53,8 +282,8 @@ def suite_prop1(graphs: int = 50, seed: int = 20240901) -> list[CheckResult]:
         for x in range(1 << n):
             for z in range(1 << n):
                 p = PauliIndex(x, z)
-                direct = spectrum.component_direct(state, p)
-                induced = spectrum.component_induced(g, p)
+                direct = component_direct(state, p)
+                induced = component_induced(g, p)
                 if direct * direct != induced:
                     ok = False
                     bad = f"(x={x}, z={z}) on {g!r}"
@@ -88,10 +317,10 @@ def suite_obs1(graphs: int = 20, seed: int = 20240902, max_n: int = 8) -> list[C
 def suite_counting() -> list[CheckResult]:
     """Counting route equals exhaustive enumeration for small n."""
     out = []
-    n_value = ensembles.counting_N(3, 2, 3)
+    n_value = counting_N(3, 2, 3)
     out.append(CheckResult("counting N(3,2,3)", n_value == 2752, f"N = {n_value}"))
     for n in (3, 4, 5):
-        counted = ensembles.moment_from_counting(3, 2, n)
+        counted = moment_from_counting(3, 2, n)
         enumerated = ensembles.exact_average(n, 3, Fraction(1, 2), 2)
         out.append(
             CheckResult(

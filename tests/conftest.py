@@ -2,17 +2,22 @@
 
 The oracles deliberately avoid the package's bit-table machinery: states
 are built by naive per-basis-state loops or dense matrix algebra, so route
-agreement is evidence rather than tautology.
+agreement is evidence rather than tautology.  Two oracles that only the
+tests run live here too: `induced_star`, the induced graph with the
+simplified 1-edge layer, and `odd_triples_bruteforce`, which counts the
+sign-flipping triples of a composition vector by labels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hypermagic.hypergraph import Hypergraph, from_masks
+from hypermagic.hypergraph import Hypergraph, _edges_at_least_two, from_masks
+from hypermagic.verify import PauliIndex
 
 
 def naive_f(g: Hypergraph, a: int) -> int:
@@ -68,13 +73,44 @@ def random_graph(n: int, rng: np.random.Generator, max_edges: int = 6) -> Hyperg
 
 
 def random_uniform3(n: int, rng: np.random.Generator, p: float = 0.5) -> Hypergraph:
-    from itertools import combinations
-
     masks = []
     for combo in combinations(range(n), 3):
         if rng.random() < p:
             masks.append((1 << combo[0]) | (1 << combo[1]) | (1 << combo[2]))
     return from_masks(n, masks)
+
+
+def induced_star(g: Hypergraph, p: PauliIndex) -> Hypergraph:
+    """Induced graph with the simplified 1-edge layer: 1-edges exactly at z bits."""
+    p.check(g.n)
+    masks = [1 << j for j in range(g.n) if (p.z >> j) & 1]
+    masks += _edges_at_least_two(g, p.x)
+    return from_masks(g.n, masks)
+
+
+_PAIR_ODD = np.array(
+    [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8
+)
+
+
+def odd_triples_bruteforce(kappa: tuple[int, ...]) -> int:
+    """Independent validator of composition_f: count odd triples by labels."""
+    labels: list[tuple[int, int]] = []  # (class, x)
+    for idx, count in enumerate(kappa):
+        cls, xbit = idx // 2, 1 - idx % 2  # even slots are the + (x=1) parts
+        labels.extend([(cls, xbit)] * count)
+    total = 0
+    for u, v, w in combinations(range(len(labels)), 3):
+        cu, xu = labels[u]
+        cv, xv = labels[v]
+        cw, xw = labels[w]
+        odd = (
+            xu * int(_PAIR_ODD[cv, cw])
+            + xv * int(_PAIR_ODD[cu, cw])
+            + xw * int(_PAIR_ODD[cu, cv])
+        ) % 2
+        total += odd
+    return total
 
 
 @pytest.fixture

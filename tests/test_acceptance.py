@@ -22,9 +22,7 @@ from hypermagic.ensembles import (
     avg_m2_p,
     closed_m2_uniform,
     concentration_check,
-    counting_N,
     exact_average,
-    moment_from_counting,
     monte_carlo_moment,
     solve_edge_budget,
     variance_bound,
@@ -34,6 +32,7 @@ from hypermagic.magic import log2_of, pl_moment, sre
 from hypermagic.phasestate import from_hypergraph
 from hypermagic.spectrum import full_spectrum, moment_from_magnitudes
 from hypermagic.symmetric import closed_3complete, closed_ncomplete, reduced_magnitudes
+from hypermagic.verify import counting_N, moment_from_counting
 
 from conftest import random_graph
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -381,6 +382,25 @@ class TestExact:
         # an explicit --jobs does not read the variable
         code, out, _ = run_cli(capsys, "exact", "--builtin", "ccz", "--jobs", "1")
         assert code == 0 and "11/32" in out
+
+    def test_bad_budget_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERMAGIC_SPECTRUM_BUDGET", "1.5")
+        code, out, err = run_cli(capsys, "exact", "--builtin", "ccz")
+        assert code == 2
+        assert err == "error: HYPERMAGIC_SPECTRUM_BUDGET must be an integer, got '1.5'\n"
+        assert out == ""
+
+    def test_huge_alpha_exits_4_before_the_power_sum(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "exact", "--builtin", "ccz", "--alpha", "100000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == ""
+        assert "600003-bit denominator" in err and f"{spectrum.EXACT_MOMENT_MAX_BITS} bits" in err
+        # n (2 alpha + 1) = 62 * 201 = 12,462 bits: under the bound, printed in full
+        code, out, _ = run_cli(capsys, "exact", "--builtin", "ncomplete:62", "--alpha", "100")
+        assert code == 0
+        _, row = data_rows(out)
+        assert Fraction(row.split(",")[2]) == ensembles.state_moment(c_complete(62, 62), 100)
 
     def test_budget_env_override(self, capsys, monkeypatch, tmp_path):
         source = with_z_edge(tmp_path, c_complete(4, 4))

@@ -20,13 +20,9 @@ from hypermagic.ensembles import (
     closed_m2_uniform,
     composition_f,
     concentration_check,
-    counting_N,
-    counting_N_tau,
     double_factorial,
     exact_average,
-    moment_from_counting,
     monte_carlo_moment,
-    odd_triples_bruteforce,
     pool_workers,
     sample,
     solve_edge_budget,
@@ -42,6 +38,9 @@ from hypermagic.ensembles import (
 )
 from hypermagic.hypergraph import c_complete, from_masks
 from hypermagic.spectrum import _RANK_CHUNK, rank_moment
+from hypermagic.verify import counting_N, counting_N_tau, moment_from_counting
+
+from conftest import odd_triples_bruteforce
 
 
 class TestSampling:

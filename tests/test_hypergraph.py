@@ -6,19 +6,17 @@ from itertools import combinations
 import pytest
 
 from hypermagic.hypergraph import (
-    PauliIndex,
     build,
     c_complete,
     cross_masks,
     degree_profile,
     from_masks,
     from_text,
-    induced_full,
-    induced_star,
     to_text,
 )
+from hypermagic.verify import PauliIndex, induced_full
 
-from conftest import random_graph
+from conftest import induced_star, random_graph
 
 FIG1 = build(6, [(1, 2, 3), (3, 5, 6), (1, 4), (5,)])
 

@@ -12,11 +12,9 @@ import pytest
 from hypermagic import spectrum
 from hypermagic.bitops import fwht, gf2_rank_fast
 from hypermagic.budget import BudgetError
-from hypermagic.hypergraph import PauliIndex, build, c_complete, empty, from_masks
+from hypermagic.hypergraph import build, c_complete, empty, from_masks
 from hypermagic.phasestate import PhaseState, from_hypergraph
 from hypermagic.spectrum import (
-    component_direct,
-    component_induced,
     dump_csv,
     full_spectrum,
     moment_from_magnitudes,
@@ -28,6 +26,7 @@ from hypermagic.spectrum import (
     walsh_blocks,
     walsh_magnitudes,
 )
+from hypermagic.verify import PauliIndex, component_direct, component_induced
 
 from conftest import dense_pauli, dense_state, naive_component, random_graph, random_uniform3
 
@@ -403,8 +402,8 @@ class TestRankKernelStack:
     """One elimination per chunk of (graph, mask) columns over a stack of graphs."""
 
     def test_stack_matches_per_mask_ranks(self, rng):
-        from hypermagic.ensembles import _batch_forms
         from hypermagic.hypergraph import _c_edges
+        from hypermagic.spectrum import _batch_forms
 
         for n in (3, 5, 8):
             edges = _c_edges(n, 3)

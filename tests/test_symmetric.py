@@ -82,8 +82,7 @@ class TestReducedSpectrum:
     def test_components_constant_within_class(self):
         # spot-check the symmetry observation itself: permuting positions
         # with fixed (m, m1, m0) does not change the component
-        from hypermagic.hypergraph import PauliIndex
-        from hypermagic.spectrum import component_induced
+        from hypermagic.verify import PauliIndex, component_induced
 
         g = c_complete(5, 3)
         # a scattered representative of class m=2, m1=1, m0=1:
