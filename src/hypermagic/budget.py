@@ -4,7 +4,7 @@ Phase tables cost 2^n bits; the sim budget gates them and the rank route.
 The spectrum budget picks no route (`ensembles.state_counts` picks it from
 the graph alone).  It sets the method label of `exact`, rank-class above
 it for graphs whose edges have at most three vertices, and bounds the 4^n
-words of `full_spectrum` and `--dump-spectrum`, which hold the whole table.
+entries of the `full_spectrum` table and of the `--dump-spectrum` file.
 Unions of complete layers take the Krawtchouk route of `symmetric`, which
 builds no phase table, so neither budget applies to them.
 The defaults keep casual calls from accidentally requesting terabytes or

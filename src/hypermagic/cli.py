@@ -115,20 +115,21 @@ def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int |
                    dump_path: str | None) -> list[magic.MagicReport]:
     """One table of |W| counts per state, every alpha evaluated from it.
 
-    `--dump-spectrum` builds the full spectrum; otherwise
-    `ensembles.state_counts` picks the route from the graph alone.  The
-    method label names the budget class, not the route: rank-class when the
-    edges have at most three vertices and n exceeds the spectrum budget,
-    direct-spectrum otherwise.  The spectrum budget picks no route; it sets
-    this label and bounds the full 4^n table.
+    `--dump-spectrum` streams the full spectrum to its file and counts the
+    same blocks; otherwise `ensembles.state_counts` picks the route from
+    the graph alone.  The method label names the budget class, not the
+    route: rank-class when the edges have at most three vertices and n
+    exceeds the spectrum budget, direct-spectrum otherwise.  The spectrum
+    budget picks no route; it sets this label and bounds the size of the
+    dump.
     """
     rank_class = g.n > _budget.spectrum_budget(budget_override) and g.max_edge_size() <= 3
     method = magic.METHOD_RANK if rank_class else magic.METHOD_DIRECT
     if dump_path:
-        spec = spectrum.full_spectrum(from_hypergraph(g, budget_override), budget_override)
+        state = from_hypergraph(g, budget_override)
+        _budget.check(g.n, _budget.spectrum_budget(budget_override), "full Pauli spectrum")
         with open(dump_path, "w", encoding="utf-8") as fh:
-            spectrum.dump_csv(spec, fh)
-        counts = spectrum.sparse_counts(spec.magnitude_histogram())
+            counts = spectrum.sparse_counts(spectrum.dump_csv(state, fh))
     else:
         counts = ensembles.state_counts(g, budget_override)
     return [magic.sre_from_moment(spectrum.moment_from_magnitudes(counts, g.n, a), a, method)

@@ -290,7 +290,12 @@ def jensen_sre_lower_bound(mean_moment, alpha) -> float:
 
 
 def variance_bound(n: int) -> Fraction:
-    """Upper bound 60 / 2^{3n} on the variance of the second moment."""
+    """The paper's stated envelope 60 / 2^{3n} for the variance of m_2 at p = 1/2.
+
+    It is not an upper bound: the exact variance
+    168 (2^n - 1)(2^n - 2)(2^n - 4) / 2^{6n} exceeds it for every n >= 4
+    (6615/262144 against 60/4096 at n = 4), and 8^n Var -> 168.
+    """
     if n < 3:
         raise ValueError("need n >= 3")
     return Fraction(60, 2 ** (3 * n))
@@ -313,9 +318,10 @@ def concentration_check(
     """Empirical Pr{M_2 >= n - 3} over the uniform 3-edge ensemble.
 
     The comparison m_2 <= 8 / 2^n is taken on exact rationals, so boundary
-    states are classified without float noise.  The theoretical floor
-    1 - 60/2^n may be negative at small n; the check is then vacuous but
-    the fraction is still reported.
+    states are classified without float noise.  The floor 1 - 60/2^n,
+    from the paper's variance envelope (see `variance_bound`), may be
+    negative at small n; the check is then vacuous but the fraction is
+    still reported.
     """
     EnsembleSpec(3, 0.5, n, seed).check()
     if samples < 1:

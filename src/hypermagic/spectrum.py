@@ -1,18 +1,25 @@
 """Exact Pauli spectra of hypergraph states: the Walsh and rank routes.
 
-`walsh_blocks` computes the derivative Walsh table
-W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a}, a few rows at a time, where
-v = (-1)^f is the state's sign table.  It transforms each block of about
-2^15 entries with two float32 matrix products by the Kronecker factors
-H_{2^floor(n/2)} and H_{2^ceil(n/2)} of the Sylvester-Hadamard matrix.
-Every partial sum is an integer of size at most 2^n, so the products are
-exact up to n = 24, where the kernel stops.  `full_spectrum` stores all
-4^n squares from it; `walsh_magnitudes` streams them into a histogram of
-|W| in O(2^n + block) memory, from which every moment order follows.  That
-histogram is the route of `ensembles.state_counts` for a graph with an
-edge of four or more vertices that is not a union of complete layers.  The
-spectrum budget picks no route: it bounds only the 4^n table of
-`full_spectrum`.
+The derivative Walsh table is W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a},
+where v = (-1)^f is the state's sign table.  The state is real, so
+g_x(a) = v(a) v(a ^ x) is unchanged by a -> a ^ x: W[x, z] vanishes when
+x.z is odd (a Pauli with an odd number of Y factors), and otherwise equals
+2 F_x(y), the 2^(n-1)-point transform of g_x over the representatives
+a_t = 0 of the pairs, where t is the top bit of x and y is z without
+bit t.  Row 0 is 2^n delta_z0.  `walsh_half_blocks`, the one Walsh kernel,
+yields the half rows F_x a few rows at a time: it transforms each block of
+about 2^14 entries with two float32 matrix products by the Kronecker
+factors H_{2^floor((n-1)/2)} and H_{2^ceil((n-1)/2)} of the
+Sylvester-Hadamard matrix.  Every partial sum is an integer of size at
+most 2^(n-1), so the products are exact up to n = 24, where the kernel
+stops.  `walsh_magnitudes` streams them into a histogram of |W| = 2|F| in
+O(2^n + block) memory and adds the 2^(2n-1) parity zeros, from which every
+moment order follows.  That histogram is the route of
+`ensembles.state_counts` for a graph with an edge of four or more vertices
+that is not a union of complete layers.  `walsh_blocks` scatters the half
+rows into full rows; `dump_csv` streams them to `--dump-spectrum`, and
+`full_spectrum` stores all 4^n squares.  The spectrum budget picks no
+route: it bounds only those full tables.
 
 `rank_moment` evaluates the moment in closed form per X mask for graphs
 whose edges have at most three vertices, from the GF(2) rank of the
@@ -136,10 +143,11 @@ def sparse_counts(hist: np.ndarray) -> dict[int, int]:
 
 
 WALSH_MAX_N = 24  # float32 holds every integer of size <= 2^24 exactly
-# Elements of W per block, unless one row is larger.  At 2^16 the block
-# temporaries (256 KiB float32, 512 KiB int64) went back to the OS after
-# every call and were faulted in again: 480 minor page faults per n = 8
-# call against 128 at 2^15, which ran 1.5-2x faster at n = 8.
+# Elements of W that one block covers, unless one row is larger; half of
+# them are transformed.  On full rows, 2^16 made the block temporaries go
+# back to the OS after every call and be faulted in again (1.5-2x slower at
+# n = 8).  On half rows, 2^14 ran 10-15 % slower than 2^15 at n = 10 and 12,
+# and 2^16 within 8 % of it at n = 6...12.
 _BLOCK = 1 << 15
 
 
@@ -153,37 +161,109 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def walsh_blocks(state: PhaseState):
-    """Yield (x0, w) with w[r, z] = W[x0 + r, z] for every X mask, in order.
+def _top_bits(x: np.ndarray) -> np.ndarray:
+    """t = the top set bit of max(x, 1): the pairing bit of row x (0 for row 0)."""
+    return np.frexp(np.maximum(x, 1))[1] - 1
 
-    W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a} = 2^n Tr(P_{x,z} rho) up to
-    sign, with v = (-1)^f.  A block holds about 2^15 elements (at least one
-    row) as float32 with exact integer values.  Writing a = (a_hi, a_lo)
-    with n_lo = floor(n/2) low bits, each row is the 2^n_hi x 2^n_lo matrix
-    U = v(a) v(a ^ x) and its transform is H_hi U H_lo; both products sum
-    at most 2^n terms of size 1, so no partial sum leaves the exact range.
-    Raises ValueError for n > 24 before allocating anything.
+
+def _insert_zero(a: np.ndarray, t) -> np.ndarray:
+    """a with a 0 bit inserted at position t: the coset representatives of a_t = 0."""
+    low = (1 << t) - 1
+    return (a & low) | ((a & ~low) << 1)
+
+
+def _first_block(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, a ^ x) with a = ins_t(a') for the rows x < rows, each with its own t."""
+    x = np.arange(rows)[:, None]
+    a = _insert_zero(np.arange(1 << (n - 1)), _top_bits(x))
+    return a, a ^ x
+
+
+# For n <= 7 the first block is the whole table, and building its indices
+# took as long as the transform (n = 4: 66 against 38 us per
+# `walsh_magnitudes` call); the 7 tables take 170 KiB.  Above, the first
+# block is one of several, and a cached 256 KiB per n showed in peak RSS.
+_whole_table_block = lru_cache(maxsize=8)(_first_block)
+
+
+def walsh_half_blocks(state: PhaseState):
+    """Yield (x0, f) with f[r, y] = F_{x0+r}(y) for every X mask, in order.
+
+    The state is real, so g_x(a) = v(a) v(a ^ x) with v = (-1)^f does not
+    change under a -> a ^ x.  For x != 0 with top set bit t, pairing a with
+    a ^ x gives W[x, z] = (1 + (-1)^{x.z}) F_x(y), where y is z with bit t
+    removed and F_x(y) = sum_{a' < 2^(n-1)} g_x(ins_t(a')) (-1)^{y.a'} is the
+    2^(n-1)-point transform over the representatives a_t = 0.  So W[x, z]
+    is 0 when x.z is odd and 2 F_x(y) otherwise.  Row 0 takes t = 0, and its
+    F_0 = 2^(n-1) delta_y0 gives the closed form W[0, z] = 2^n delta_z0 under
+    the same rule with max(x, 1) in place of x (see `walsh_blocks`).
+
+    A block holds about 2^14 half-row entries (at least one row) as float32
+    with exact integer values.  Rows x0 >= rows share one t; the first block
+    mixes the small t, so that n <= 7 runs as one block.  Writing
+    a' = (a_hi, a_lo) with m_lo = floor((n-1)/2) low bits, each row is the
+    2^m_hi x 2^m_lo matrix U = g_x(ins_t(a')) and its transform is
+    H_hi U H_lo; both products sum at most 2^(n-1) terms of size 1, so no
+    partial sum leaves the exact range.  Raises ValueError for n > 24
+    before allocating anything.
     """
     n = state.n
     if n > WALSH_MAX_N:
         raise ValueError(f"the float32 Walsh kernel is exact only up to n={WALSH_MAX_N}, got n={n}")
-    return _walsh_blocks(state)
+    return _walsh_half_blocks(state)
 
 
-def _walsh_blocks(state: PhaseState):
+def _walsh_half_blocks(state: PhaseState):
     n = state.n
-    size = 1 << n
-    n_lo = n // 2
-    h_lo, h_hi = _hadamard(n_lo), _hadamard(n - n_lo)
-    rows = min(size, max(1, _BLOCK >> n))
+    m = n - 1
+    half = 1 << m
+    m_lo = m // 2
+    h_lo, h_hi = _hadamard(m_lo), _hadamard(m - m_lo)
+
+    def transform(u):
+        y = (u.reshape(-1, 1 << m_lo) @ h_lo).reshape(len(u), 1 << (m - m_lo), 1 << m_lo)
+        return np.matmul(h_hi, y).reshape(len(u), half)
+
+    rows = min(1 << n, max(1, _BLOCK >> n))  # as many as _BLOCK entries of W hold
     v = 1 - 2 * state.sign_bits().astype(np.float32)
-    idx = np.arange(size)
-    # block starts are multiples of rows, so x0 + r == x0 ^ r for r < rows
-    offsets = idx[None, :] ^ np.arange(rows)[:, None]
-    for x0 in range(0, size, rows):
-        u = v[idx ^ x0][offsets] * v
-        y = (u.reshape(-1, 1 << n_lo) @ h_lo).reshape(rows, 1 << (n - n_lo), 1 << n_lo)
-        yield x0, np.matmul(h_hi, y).reshape(rows, size)
+    a, b = (_whole_table_block if rows == 1 << n else _first_block)(n, rows)
+    yield 0, transform(v[a] * v[b])
+    idx = np.arange(half)
+    # x0 is a multiple of rows, so row x0 + r pairs ins_t(a') with
+    # ins_t(a' ^ x' ^ r) + 2^t, where x' = x0 - 2^t
+    offsets = idx ^ np.arange(rows)[:, None]
+    for t in range(rows.bit_length() - 1, n):
+        reps = _insert_zero(idx, t)
+        v0, v1 = v[reps], v[reps | (1 << t)]
+        for x0 in range(1 << t, 2 << t, rows):
+            yield x0, transform(v1[idx ^ (x0 ^ (1 << t))][offsets] * v0)
+
+
+def walsh_blocks(state: PhaseState):
+    """Yield (x0, w) with w[r, z] = W[x0 + r, z] for every X mask, in order.
+
+    W[x, z] = sum_a v(a) v(a ^ x) (-1)^{z.a} = 2^n Tr(P_{x,z} rho) up to
+    sign, with v = (-1)^f.  Each block scatters one `walsh_half_blocks`
+    block into full float32 rows: with k = max(x, 1) and t its top bit,
+    W[x, z] = 2 F_x(y) when k.z is even, where y is z with bit t removed,
+    and 0 otherwise.  Raises ValueError for n > 24 before allocating
+    anything.
+    """
+    n = state.n
+    half_blocks = walsh_half_blocks(state)  # refuses n > 24
+    return _full_rows(n, half_blocks)
+
+
+def _full_rows(n: int, half_blocks):
+    z = np.arange(1 << n)
+    for x0, f in half_blocks:
+        x = np.arange(x0, x0 + len(f))[:, None]
+        t = _top_bits(x)
+        y = (z & ((1 << t) - 1)) | ((z >> (t + 1)) << t)
+        odd = (np.bitwise_count(np.maximum(x, 1) & z) & 1).astype(bool)
+        w = 2 * np.take_along_axis(f, y, axis=1)
+        w[odd] = 0
+        yield x0, w
 
 
 def full_spectrum(state: PhaseState, budget: int | None = None) -> PauliSpectrum:
@@ -198,21 +278,30 @@ def full_spectrum(state: PhaseState, budget: int | None = None) -> PauliSpectrum
     return PauliSpectrum(n, sq)
 
 
+def _parseval_checked(hist: np.ndarray, n: int) -> np.ndarray:
+    """hist itself, after checking sum_m hist[m] m^2 == 2^{3n}."""
+    if sum(c * m * m for m, c in sparse_counts(hist).items()) != 2 ** (3 * n):
+        raise AssertionError("Walsh magnitudes violate Parseval's identity")
+    return hist
+
+
 def walsh_magnitudes(state: PhaseState) -> np.ndarray:
     """hist[m] = number of Paulis (x, z) with |W[x, z]| = m, for m in [0, 2^n].
 
     The moment of any order follows from its `sparse_counts` (see
-    `moment_from_magnitudes`).  Memory is O(2^n + block): no 4^n
-    table is built.  Each call checks Parseval, sum_m hist[m] m^2 = 2^{3n}.
+    `moment_from_magnitudes`).  Each half row F_x gives |W| = 2|F_x(y)| at
+    its 2^(n-1) even-parity z, and the other 2^(n-1) entries of the row are
+    the known zeros of `walsh_half_blocks`.  Memory is O(2^n + block): no
+    4^n table is built.  Each call checks Parseval, sum_m hist[m] m^2 = 2^{3n}.
     """
     n = state.n
-    blocks = walsh_blocks(state)  # refuses n > 24 before the histogram exists
+    blocks = walsh_half_blocks(state)  # refuses n > 24 before the histogram exists
     hist = np.zeros((1 << n) + 1, dtype=np.int64)
-    for _, w in blocks:
-        hist += np.bincount(np.abs(w).astype(np.intp).ravel(), minlength=hist.size)
-    if sum(c * m * m for m, c in sparse_counts(hist).items()) != 2 ** (3 * n):
-        raise AssertionError("Walsh magnitudes violate Parseval's identity")
-    return hist
+    even = hist[::2]  # |W| = 2|F| is even
+    for _, f in blocks:
+        even += np.bincount(np.abs(f.reshape(-1)).astype(np.intp), minlength=even.size)
+    hist[0] += 1 << (2 * n - 1)  # x.z odd: half of the 4^n Paulis
+    return _parseval_checked(hist, n)
 
 
 def _star_pair_table(g: Hypergraph, x: int) -> int:
@@ -314,6 +403,20 @@ def rank_histogram(g: Hypergraph, chunk: int = _RANK_CHUNK) -> np.ndarray:
     return _rank_histograms(_batch_forms(n, keep), chunk)[0]
 
 
+@lru_cache(maxsize=4)
+def _work_arrays(chunk: int, dtype) -> tuple[np.ndarray, ...]:
+    """Scratch of `_rank_histograms` for up to one row per bit of dtype, kept between calls.
+
+    As temporaries of every column step (up to 2 n chunk bytes each, 192 KiB
+    at n = 12), they made glibc trim its heap and fault it in again, unless
+    earlier requests had raised its thresholds: a median of 320 minor page
+    faults per n = 12 `ensemble --samples 8` request, against none when kept.
+    """
+    rows = 8 * np.dtype(dtype).itemsize
+    return (np.empty((rows, chunk), dtype=dtype), np.empty((rows, chunk), dtype=bool),
+            np.empty((rows, chunk), dtype=np.uint8), np.empty(chunk, dtype=np.uint8))
+
+
 def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
     """out[g, r] = number of masks x with rank B_g(x) = r, for a stack of graphs.
 
@@ -338,6 +441,7 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
     high = np.arange(lo, n)
     weight = np.arange(n, 0, -1, dtype=np.uint8)[:, None]  # row i weighs n - i
     hist = np.zeros((graphs, n + 1), dtype=np.int64)
+    work = _work_arrays(chunk, dtype)
     for t0 in range(0, graphs * tiles_per_graph, step):
         tiles = np.arange(t0, min(t0 + step, graphs * tiles_per_graph))
         owner = tiles >> (n - lo)
@@ -357,12 +461,14 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
         # the bit) selects row 0, whose XOR then changes nothing
         offsets = (n - np.arange(n + 1)) % n * width
         rank = np.zeros(width, dtype=np.intp)
+        masked, has, weighted = (a[:n, :width] for a in work[:3])
+        top = work[3][:width]
         for b in range(n):
-            has = (rows & dtype(1 << b)) != 0
+            np.not_equal(np.bitwise_and(rows, dtype(1 << b), out=masked), 0, out=has)
             # n - (first row with the bit), or 0: a max over rows, because a
             # strided argmax(axis=0) over the same array ran about 10x slower
-            top = (has * weight).max(axis=0)
-            rows ^= has * flat[offsets[top] + cols]
+            np.multiply(has, weight, out=weighted).max(axis=0, out=top)
+            rows ^= np.multiply(has, flat[offsets[top] + cols], out=masked)
             rank += top != 0
         first = int(owner[0])
         key = np.repeat((owner - first) * (n + 1), span) + rank
@@ -389,13 +495,22 @@ def rank_moment(g: Hypergraph, alpha):
     return moment_from_magnitudes(rank_magnitudes(rank_histogram(g), g.n), g.n, alpha)
 
 
-def dump_csv(spectrum: PauliSpectrum, stream: IO[str]) -> None:
-    """Write squared-component numerators; denominator stated up front."""
-    stream.write(f"# denominator 4^n = {4**spectrum.n}\n")
-    stream.write("x,z,sq_component_numerator\n")
-    size = 1 << spectrum.n
-    for x in range(size):
-        row = spectrum.sq[x]
-        for z in range(size):
-            stream.write(f"{x},{z},{int(row[z])}\n")
+def dump_csv(state: PhaseState, stream: IO[str]) -> np.ndarray:
+    """Write squared-component numerators, denominator stated up front; return the |W| histogram.
 
+    Each `walsh_blocks` block is written as it arrives and counted into the
+    histogram of `walsh_magnitudes`, Parseval checked, so no 4^n table is
+    held.  The caller gates the table's size by the spectrum budget.
+    """
+    n = state.n
+    blocks = walsh_blocks(state)  # refuses n > 24 before writing anything
+    stream.write(f"# denominator 4^n = {4**n}\n")
+    stream.write("x,z,sq_component_numerator\n")
+    hist = np.zeros((1 << n) + 1, dtype=np.int64)
+    zs = [f",{z}," for z in range(1 << n)]  # formatted once: 2x faster lines
+    for x0, w in blocks:
+        mags = np.abs(w).astype(np.int64)
+        hist += np.bincount(mags.ravel(), minlength=hist.size)
+        for x, row in enumerate((mags * mags).tolist(), x0):
+            stream.write("".join([f"{x}{z}{sq}\n" for z, sq in zip(zs, row)]))
+    return _parseval_checked(hist, n)

@@ -226,6 +226,14 @@ class TestExact:
         assert lines[0] == f"# denominator 4^n = {4**3}"
         assert len(lines) == 2 + 64
 
+    def test_spectrum_dump_above_budget_writes_no_file(self, capsys, tmp_path):
+        dump = tmp_path / "big.csv"
+        code, out, err = run_cli(capsys, "exact", "--builtin", "ncomplete:13", "--alpha", "2",
+                                 "--dump-spectrum", str(dump))
+        assert (code, out) == (4, "")
+        assert "full Pauli spectrum at n=13 exceeds the budget of 12 qubits" in err
+        assert not dump.exists()
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_EXACT))
     def test_golden_stdout(self, capsys, tmp_path, name):
         if name == "uniform3:13":
@@ -242,7 +250,7 @@ class TestExact:
         assert out == expected
 
     def test_direct_route_runs_walsh_kernel_once(self, capsys, monkeypatch, tmp_path):
-        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_half_blocks")
         full = count_calls(monkeypatch, spectrum, "full_spectrum")
         fwht = count_calls(monkeypatch, spectrum, "fwht")
         code, out, _ = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(10, 4)),
@@ -260,7 +268,7 @@ class TestExact:
 
     @pytest.mark.parametrize("graph, kernel", [
         (from_masks(10, [*c_complete(10, 3).edges, 1]), "rank_histogram"),
-        (from_masks(8, [*c_complete(8, 3).edges, 0b1111]), "walsh_blocks"),
+        (from_masks(8, [*c_complete(8, 3).edges, 0b1111]), "walsh_half_blocks"),
         (c_complete(10, 3), "reduced_traces"),
     ], ids=["rank", "walsh", "krawtchouk"])
     def test_exact_and_state_moment_run_the_same_one_kernel(self, capsys, monkeypatch, tmp_path,
@@ -268,7 +276,7 @@ class TestExact:
         path = tmp_path / "graph.hg"
         path.write_text(to_text(graph))
         calls = {name: count_calls(monkeypatch, module, name) for module, name in
-                 ((spectrum, "rank_histogram"), (spectrum, "walsh_blocks"),
+                 ((spectrum, "rank_histogram"), (spectrum, "walsh_half_blocks"),
                   (symmetric, "reduced_traces"))}
         code, out, _ = run_cli(capsys, "exact", "--graph", str(path), "--alpha", "2")
         assert code == 0
@@ -296,7 +304,7 @@ class TestExact:
         path = tmp_path / "uniform3_13.hg"
         path.write_text(to_text(uniform3_n13()))
         ranks = count_calls(monkeypatch, spectrum, "rank_histogram")
-        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_half_blocks")
         code, out, _ = run_cli(capsys, "exact", "--graph", str(path), "--alpha", "2,1/2,3")
         assert code == 0
         assert [r.split(",")[4] for r in data_rows(out)[1:]] == ["rank-class"] * 3
@@ -306,7 +314,7 @@ class TestExact:
                                               ("3complete:13", "rank-class")])
     def test_symmetric_route_builds_no_phase_table(self, capsys, monkeypatch, name, method):
         krawtchouk = count_calls(monkeypatch, symmetric, "reduced_traces")
-        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_half_blocks")
         ranks = count_calls(monkeypatch, spectrum, "rank_histogram")
         tables = count_calls(monkeypatch, phasestate, "from_hypergraph")
         code, out, _ = run_cli(capsys, "exact", "--builtin", name, "--alpha", "2,1/2,3")
@@ -326,16 +334,18 @@ class TestExact:
 
     def test_spectrum_dump_builds_one_table(self, capsys, monkeypatch, tmp_path):
         dump = tmp_path / "spectrum.csv"
-        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_half_blocks")
+        full = count_calls(monkeypatch, spectrum, "full_spectrum")
         code, out, _ = run_cli(capsys, "exact", "--builtin", "ccz", "--alpha", "2,1/2,1/3,3",
                                "--dump-spectrum", str(dump))
         assert code == 0
         assert walsh[0] == 1
+        assert full[0] == 0  # streamed: no 4^n table
         assert data_rows(out)[1:] == GOLDEN_EXACT["ccz"].splitlines()[1:]
 
     def test_large_edges_above_budget_run_walsh_kernel_once(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("HYPERMAGIC_SPECTRUM_BUDGET", "4")
-        walsh = count_calls(monkeypatch, spectrum, "walsh_blocks")
+        walsh = count_calls(monkeypatch, spectrum, "walsh_half_blocks")
         star = count_calls(monkeypatch, spectrum, "star_trace_sum")
         code, out, _ = run_cli(capsys, "exact", *with_z_edge(tmp_path, c_complete(8, 8)),
                                "--alpha", "2,1/2,3")

@@ -1,5 +1,6 @@
 """Ensemble sampling, moment statistics, counting problems, closed forms."""
 
+import functools
 import math
 import os
 import time
@@ -460,10 +461,40 @@ def literal_avg_m2(n: int, p: Fraction) -> Fraction:
     return total / 8**n
 
 
+@functools.cache
+def _cached_log2_binom_table(n: int) -> np.ndarray:
+    return _log2_binom_table(n)
+
+
+@functools.cache
+def _triple_grid(k1: int, k2: int, k3: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, its parity and the log2-binomial weights on the (a, b, c) grid, flattened.
+
+    None of them depends on n or p, so every (n, p) case shares them.
+    """
+    lb = _cached_log2_binom_table(k1 + k2 + k3)
+    a = np.arange(k1 + 1).reshape(-1, 1, 1)
+    b = np.arange(k2 + 1).reshape(1, -1, 1)
+    c = np.arange(k3 + 1).reshape(1, 1, -1)
+    f = (
+        a * (k1 - a) * (k2 + k3)
+        + b * (k2 - b) * (k3 + k1)
+        + c * (k3 - c) * (k1 + k2)
+        + a * (k2 - b) * (k3 - c)
+        + b * (k3 - c) * (k1 - a)
+        + c * (k1 - a) * (k2 - b)
+        + a * b * c
+    )
+    logbin = lb[k1, : k1 + 1].reshape(-1, 1, 1) + lb[k2, : k2 + 1].reshape(
+        1, -1, 1
+    ) + lb[k3, : k3 + 1].reshape(1, 1, -1)
+    return f.ravel().astype(np.int32), (f & 1).astype(bool).ravel(), logbin.ravel()
+
+
 def per_triple_avg_m2_log(n: int, p: float) -> float:
     """Signed log-space sum with one grid per ordered (k1, k2, k3)."""
     beta = 1.0 - 2.0 * p
-    lb = _log2_binom_table(n)
+    lb = _cached_log2_binom_table(n)
     abs_beta = abs(beta)
     log_abs_beta = math.log2(abs_beta) if abs_beta > 0 else -math.inf
     negative_base = beta < 0
@@ -488,31 +519,16 @@ def per_triple_avg_m2_log(n: int, p: float) -> float:
                     continue
                 w0 = 0.0 if k0 == 0 else k0 * math.log2(base0)
                 logmult = lb[n, k0] + lb[n - k0, k1] + lb[n - k0 - k1, k2]
-                a = np.arange(k1 + 1).reshape(-1, 1, 1)
-                b = np.arange(k2 + 1).reshape(1, -1, 1)
-                c = np.arange(k3 + 1).reshape(1, 1, -1)
-                f = (
-                    a * (k1 - a) * (k2 + k3)
-                    + b * (k2 - b) * (k3 + k1)
-                    + c * (k3 - c) * (k1 + k2)
-                    + a * (k2 - b) * (k3 - c)
-                    + b * (k3 - c) * (k1 - a)
-                    + c * (k1 - a) * (k2 - b)
-                    + a * b * c
-                )
-                logbin = lb[k1, : k1 + 1].reshape(-1, 1, 1) + lb[k2, : k2 + 1].reshape(
-                    1, -1, 1
-                ) + lb[k3, : k3 + 1].reshape(1, 1, -1)
+                f, odd, logbin = _triple_grid(k1, k2, k3)
                 if abs_beta > 0:
                     logs = logmult + w0 + logbin + f * log_abs_beta
                 else:
                     logs = np.where(f == 0, logmult + w0 + logbin, -np.inf)
                 if negative_base:
-                    odd = (f & 1).astype(bool)
-                    fold(0, logs[~odd].ravel())
-                    fold(1, logs[odd].ravel())
+                    fold(0, logs[~odd])
+                    fold(1, logs[odd])
                 else:
-                    fold(0, logs.ravel())
+                    fold(0, logs)
     pos = 2.0 ** (acc[0] - 3 * n) if acc[0] > -math.inf else 0.0
     neg = 2.0 ** (acc[1] - 3 * n) if acc[1] > -math.inf else 0.0
     return pos - neg

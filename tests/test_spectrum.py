@@ -174,6 +174,19 @@ def fwht_magnitudes(g) -> np.ndarray:
     return hist
 
 
+def dense_walsh(g) -> np.ndarray:
+    """W[x, z] from one float64 product with the dense Sylvester-Hadamard matrix."""
+    n = g.n
+    v = from_hypergraph(g).pm_table().astype(np.float64)
+    a = np.arange(1 << n)
+    h = np.where(np.bitwise_count(a[:, None] & a) & 1, -1.0, 1.0)
+    return ((v[a[:, None] ^ a] * v) @ h).astype(np.int64)
+
+
+def dense_magnitudes(g) -> np.ndarray:
+    return np.bincount(np.abs(dense_walsh(g)).ravel(), minlength=(1 << g.n) + 1)
+
+
 def direct_magnitudes(g) -> np.ndarray:
     """|W| histogram from one basis-overlap sum per Pauli."""
     n = g.n
@@ -191,6 +204,41 @@ class TestWalshKernel:
             hist = walsh_magnitudes(from_hypergraph(g))
             assert hist.shape == ((1 << g.n) + 1,)
             assert np.array_equal(hist, fwht_magnitudes(g)), g
+
+    def test_matches_dense_transform_n1_to_10(self, rng):
+        for n in range(1, 11):
+            one_edge = [from_masks(n, [(1 << k) - 1]) for k in sorted({1, 2, 3, n}) if k <= n]
+            for g in [every_edge_size_graph(n, rng), every_edge_size_graph(n, rng), empty(n),
+                      *one_edge]:
+                assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), dense_magnitudes(g)), g
+
+    def test_half_rows_and_parity_zeros(self, rng):
+        # W[x, z] = 0 when x.z is odd, else 2 F_x(z without bit t); t is
+        # the top bit of max(x, 1)
+        for n in (1, 2, 5, 8, 9):
+            g = every_edge_size_graph(n, rng)
+            w = dense_walsh(g)
+            z = np.arange(1 << n)
+            next_x = 0
+            for x0, f in spectrum.walsh_half_blocks(from_hypergraph(g)):
+                assert x0 == next_x and f.dtype == np.float32 and f.shape[1] == 1 << (n - 1)
+                for r in range(len(f)):
+                    x = x0 + r
+                    t = max(x, 1).bit_length() - 1
+                    odd = np.bitwise_count(max(x, 1) & z) & 1 == 1
+                    y = (z & ((1 << t) - 1)) | ((z >> (t + 1)) << t)
+                    assert not w[x, odd].any()
+                    assert np.array_equal(w[x, ~odd], 2 * f[r, y[~odd]].astype(np.int64))
+                next_x += len(f)
+            assert next_x == 1 << n
+
+    def test_full_spectrum_odd_paulis_vanish(self, rng):
+        for g in kernel_graphs(rng):
+            sq = full_spectrum(from_hypergraph(g)).sq
+            a = np.arange(1 << g.n)
+            odd = (np.bitwise_count(a[:, None] & a) & 1).astype(bool)
+            assert not sq[odd].any(), g
+            assert sq[~odd].sum() == 2 ** (3 * g.n), g
 
     def test_matches_component_direct(self, rng):
         for g in kernel_graphs(rng):
@@ -246,16 +294,16 @@ class TestWalshKernel:
     def test_parseval_checked_on_every_call(self, monkeypatch):
         st = from_hypergraph(build(4, [(1, 2, 3), (2, 4)]))
         walsh_magnitudes(st)
-        original = spectrum.walsh_blocks
+        original = spectrum.walsh_half_blocks
 
         def corrupted(state):
-            for x0, w in original(state):
+            for x0, f in original(state):
                 if x0 == 0:
-                    w = w.copy()
-                    w[-1, -1] += 2  # still a valid magnitude, wrong total power
-                yield x0, w
+                    f = f.copy()
+                    f[-1, -1] += 1  # still a valid magnitude, wrong total power
+                yield x0, f
 
-        monkeypatch.setattr(spectrum, "walsh_blocks", corrupted)
+        monkeypatch.setattr(spectrum, "walsh_half_blocks", corrupted)
         with pytest.raises(AssertionError, match="Parseval"):
             walsh_magnitudes(st)
 
@@ -469,11 +517,22 @@ class TestCsvDump:
     def test_header_and_shape(self, tmp_path):
         import io
 
-        spec = full_spectrum(from_hypergraph(CCZ))
         buf = io.StringIO()
-        dump_csv(spec, buf)
+        dump_csv(from_hypergraph(CCZ), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == f"# denominator 4^n = {4**3}"
         assert lines[1] == "x,z,sq_component_numerator"
         assert len(lines) == 2 + 64
         assert lines[2] == f"0,0,{4**3}"
+
+    def test_streams_the_full_spectrum(self, rng):
+        import io
+
+        for n in (1, 4, 8):
+            st = from_hypergraph(every_edge_size_graph(n, rng))
+            buf = io.StringIO()
+            hist = dump_csv(st, buf)
+            lines = buf.getvalue().splitlines()[2:]
+            want = full_spectrum(st).sq
+            assert lines == [f"{x},{z},{want[x, z]}" for x in range(1 << n) for z in range(1 << n)]
+            assert np.array_equal(hist, walsh_magnitudes(st))
