@@ -25,8 +25,13 @@ route: it bounds only those full tables.
 whose edges have at most three vertices, from the GF(2) rank of the
 induced pair-edge form.  One function, `_batch_forms`, sums the forms of
 a stack of 3-edge sets from a per-edge table, and one kernel,
-`_rank_histograms`, ranks them: every (graph, mask) column, by one GF(2)
-elimination per chunk of at most 2^13 columns.  `rank_histogram` is their
+`_rank_histograms`, ranks them: every (graph, mask) column, by one pair
+elimination per chunk of at most 2^13 columns.  The forms are alternating
+(symmetric with a zero diagonal), so step b strips the hyperbolic pair of
+row b and its lowest set bit q from the rows below it.  Row b is always the
+pivot, so there is no pivot search, and row q is read by symmetry from the
+bits the step computes, so there is no gather.  The rank is twice the
+number of nonzero rows left, even by construction.  `rank_histogram` is their
 one-graph call, the route of `ensembles.state_counts` for every other
 graph whose edges have at most three vertices; the c = 3 ensemble
 enumeration and Monte Carlo samples hand them many graphs at once.
@@ -186,6 +191,24 @@ def _first_block(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
 _whole_table_block = lru_cache(maxsize=8)(_first_block)
 
 
+@lru_cache(maxsize=1)
+def _walsh_work() -> tuple[np.ndarray, np.ndarray]:
+    """Two intp arrays of one block's half-row entries, kept between calls: 256 KiB.
+
+    They hold the pair offsets of `_walsh_half_blocks` and the magnitudes
+    that `walsh_magnitudes` counts, 128 KiB each for n = 8 ... 15.  Allocated
+    per call and per block, those two made an ensemble-mc star request
+    (c = 4, n = 10, 2 samples) fault a median of 208 pages; kept, none.
+    """
+    return np.empty(_BLOCK >> 1, dtype=np.intp), np.empty(_BLOCK >> 1, dtype=np.intp)
+
+
+def _kept(i: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Kept intp scratch i of this shape, or None (numpy then allocates) if it does not fit."""
+    size, kept = math.prod(shape), _walsh_work()[i]
+    return kept[:size].reshape(shape) if size <= kept.size else None
+
+
 def walsh_half_blocks(state: PhaseState):
     """Yield (x0, f) with f[r, y] = F_{x0+r}(y) for every X mask, in order.
 
@@ -231,7 +254,7 @@ def _walsh_half_blocks(state: PhaseState):
     idx = np.arange(half)
     # x0 is a multiple of rows, so row x0 + r pairs ins_t(a') with
     # ins_t(a' ^ x' ^ r) + 2^t, where x' = x0 - 2^t
-    offsets = idx ^ np.arange(rows)[:, None]
+    offsets = np.bitwise_xor(idx, np.arange(rows)[:, None], out=_kept(0, (rows, half)))
     for t in range(rows.bit_length() - 1, n):
         reps = _insert_zero(idx, t)
         v0, v1 = v[reps], v[reps | (1 << t)]
@@ -299,7 +322,8 @@ def walsh_magnitudes(state: PhaseState) -> np.ndarray:
     hist = np.zeros((1 << n) + 1, dtype=np.int64)
     even = hist[::2]  # |W| = 2|F| is even
     for _, f in blocks:
-        even += np.bincount(np.abs(f.reshape(-1)).astype(np.intp), minlength=even.size)
+        mags = np.abs(f.reshape(-1), out=_kept(1, (f.size,)), dtype=np.intp, casting="unsafe")
+        even += np.bincount(mags, minlength=even.size)
     hist[0] += 1 << (2 * n - 1)  # x.z odd: half of the 4^n Paulis
     return _parseval_checked(hist, n)
 
@@ -342,10 +366,13 @@ def star_trace_sum(g: Hypergraph, alpha, budget: int | None = None):
     return acc_int if exact else math.fsum(acc_float)
 
 
-# (graph, mask) columns per GF(2) elimination.  An n = 15 rank histogram
-# took 8.5 ms and 0.9 MiB traced at 2^13 against 11.6 ms and 3.4 MiB at
-# 2^16; the n = 5 enumeration took 6-8 ms at every size from 2^12 to 2^16
-# while its traced peak grew from 0.25 to 1.7 MiB.
+# (graph, mask) columns per GF(2) elimination.  Under pair elimination, on a
+# 2-core VM, at 2^12, 2^13, 2^14 and 2^15 an n = 15 rank histogram took 9.5,
+# 6.6, 5.7 and 5.9 ms with a traced peak of 0.36, 0.65, 1.25 and 1.73 MiB,
+# eight n = 12 samples 8.0, 5.3, 4.6 and 4.5 ms, and the n = 5 enumeration
+# 8.0, 6.2, 5.9 and 6.0 ms; the kept scratch doubles with the chunk (0.53
+# MiB at 2^13).  2^14 was faster, but it put about 1 MiB on the peak RSS of
+# a 30 s exact-states benchmark run, within 1 MiB of that metric's bound.
 _RANK_CHUNK = 1 << 13
 
 
@@ -407,39 +434,53 @@ def rank_histogram(g: Hypergraph, chunk: int = _RANK_CHUNK) -> np.ndarray:
 def _work_arrays(chunk: int, dtype) -> tuple[np.ndarray, ...]:
     """Scratch of `_rank_histograms` for up to one row per bit of dtype, kept between calls.
 
-    As temporaries of every column step (up to 2 n chunk bytes each, 192 KiB
-    at n = 12), they made glibc trim its heap and fault it in again, unless
-    earlier requests had raised its thresholds: a median of 320 minor page
-    faults per n = 12 `ensemble --samples 8` request, against none when kept.
+    Two (rows, chunk) arrays of dtype for the terms of a step, the second
+    also for the nonzero flags at the end, and two chunk-long rows for 2^q
+    and row q: 0.53 MiB for uint16 at 2^13 columns.
+    As temporaries of every step (up to 2 n chunk bytes each, 192 KiB at
+    n = 12), such arrays made glibc trim its heap and fault it in again,
+    unless earlier requests had raised its thresholds: a median of 320 minor
+    page faults per n = 12 `ensemble --samples 8` request, against none when
+    kept.
     """
     rows = 8 * np.dtype(dtype).itemsize
-    return (np.empty((rows, chunk), dtype=dtype), np.empty((rows, chunk), dtype=bool),
-            np.empty((rows, chunk), dtype=np.uint8), np.empty(chunk, dtype=np.uint8))
+    return (np.empty((rows, chunk), dtype=dtype), np.empty((rows, chunk), dtype=dtype),
+            np.empty(chunk, dtype=dtype), np.empty(chunk, dtype=dtype))
 
 
 def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
     """out[g, r] = number of masks x with rank B_g(x) = r, for a stack of graphs.
 
-    forms[g, i, j] is row j of B_g(e_i) as a bitmask.  B_g(x) is linear in
-    x, B_g(x) = sum_i x_i B_g(e_i), so the columns (g, x) are cut into tiles
-    of 2^lo consecutive masks of one graph, 2^lo <= chunk: a tile's rows are
-    the XOR of the forms of the mask's high bits, then the low bits double
-    the tile by one XOR each.  Whole tiles, at most `chunk` columns, are held
-    as an (n, columns) array of row bitmasks, uint16 up to n = 16 and uint32
-    above, and reduced by one GF(2) elimination: each of the n column steps
-    takes the first row that has the column's bit as pivot and XORs it into
-    every row that has the bit, the pivot itself included, so a column's
-    rank is the number of steps that found a pivot.
+    forms[g, i, j] is row j of B_g(e_i) as a bitmask; each must be
+    symmetric with a zero diagonal (alternating), which is checked first and
+    by linearity covers every B_g(x), since B_g(x) = sum_i x_i B_g(e_i).  The
+    columns (g, x) are cut into tiles of 2^lo consecutive masks of one
+    graph, 2^lo <= chunk: a tile's rows are the XOR of the forms of the
+    mask's high bits, then the low bits double the tile by one XOR each.
+    Whole tiles, at most `chunk` columns, are held as an (n, columns) array
+    of row bitmasks, uint16 up to n = 16 and uint32 above, and reduced by
+    pair elimination.  If row b of an alternating M has its lowest set bit
+    q, then M + r_b r_q^T + r_q r_b^T is alternating, zero in rows and
+    columns b and q, and of rank two less.  Step b = 0 ... n-2 applies this
+    to every row r > b, row_r ^= M[r, b] row_q ^ M[r, q] row_b; the earlier
+    rows and columns are already zero, so q > b, and the rows <= b are
+    final.  Row q is not gathered: by symmetry its bit r is M[r, q], which
+    the step computes anyway, and its bit b is 1.  So a column's rank is
+    twice the number of its nonzero rows at the end, even by construction.
     """
     graphs, n = forms.shape[:2]
     dtype = np.uint16 if n <= 16 else np.uint32
     forms = forms.astype(dtype, copy=False)
+    entry = (forms[..., None] >> np.arange(n, dtype=dtype)) & dtype(1)  # bit k of row j of B_g(e_i)
+    if (entry != entry.swapaxes(-1, -2)).any() or entry.diagonal(axis1=-2, axis2=-1).any():
+        raise AssertionError("pair-edge form is not symmetric with a zero diagonal")
     lo = min(n, chunk.bit_length() - 1)
     span = 1 << lo  # masks per tile
     tiles_per_graph = 1 << (n - lo)
     step = chunk >> lo  # tiles per elimination
     high = np.arange(lo, n)
-    weight = np.arange(n, 0, -1, dtype=np.uint8)[:, None]  # row i weighs n - i
+    weight = (dtype(1) << np.arange(n, dtype=dtype))[:, None]  # bit r for row r
+    top = dtype(8 * np.dtype(dtype).itemsize - 1)
     hist = np.zeros((graphs, n + 1), dtype=np.int64)
     work = _work_arrays(chunk, dtype)
     for t0 in range(0, graphs * tiles_per_graph, step):
@@ -455,27 +496,32 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
             np.bitwise_xor(rows[:, :, :h], f[:, i].T[:, :, None], out=rows[:, :, h:2 * h])
         width = len(tiles) * span
         rows = rows.reshape(n, width)
-        flat = rows.reshape(-1)
-        cols = np.arange(width)
-        # flat offset of the pivot row from the top weight; 0 (no row has
-        # the bit) selects row 0, whose XOR then changes nothing
-        offsets = (n - np.arange(n + 1)) % n * width
-        rank = np.zeros(width, dtype=np.intp)
-        masked, has, weighted = (a[:n, :width] for a in work[:3])
-        top = work[3][:width]
-        for b in range(n):
-            np.not_equal(np.bitwise_and(rows, dtype(1 << b), out=masked), 0, out=has)
-            # n - (first row with the bit), or 0: a max over rows, because a
-            # strided argmax(axis=0) over the same array ran about 10x slower
-            np.multiply(has, weight, out=weighted).max(axis=0, out=top)
-            rows ^= np.multiply(has, flat[offsets[top] + cols], out=masked)
-            rank += top != 0
+        spread, term = (a[:n, :width] for a in work[:2])
+        low, row_q = (a[:width] for a in work[2:])
+        for b in range(n - 1):
+            row_b, below = rows[b], rows[b + 1:]
+            s, u = spread[b + 1:], term[b + 1:]
+            np.bitwise_and(np.negative(row_b, out=low), row_b, out=low)  # 2^q, or 0 for a zero row
+            # M[r, q] row_b: row_b has no bit under q, so it is row_b masked by
+            # -(row_r & 2^q), which is every bit from q up when M[r, q] = 1 and 0 else
+            np.negative(np.bitwise_and(below, low, out=s), out=s)
+            # row q: bit r is M[r, q], the top bit of s, and bit b is 1
+            np.multiply(np.right_shift(s, top, out=u), weight[b + 1:], out=u)
+            np.bitwise_or.reduce(u, axis=0, out=row_q)
+            below ^= np.bitwise_and(s, row_b, out=s)
+            # M[r, b] row_q: bit b of row r times row_q >> b, whose bits under b are 0
+            np.right_shift(row_q, dtype(b), out=row_q)
+            row_q |= dtype(1)
+            below ^= np.multiply(np.bitwise_and(below, dtype(1 << b), out=u), row_q, out=u)
+        # pairs per column, as a uint8 sum over the rows in the kept scratch:
+        # count_nonzero(rows, axis=0) took 5x as long (110 against 20 us at
+        # n = 12 on 2^13 columns)
+        nonzero = np.not_equal(rows, 0, out=work[1].view(bool)[:n, :width])
+        rank = 2 * nonzero.view(np.uint8).sum(axis=0, dtype=np.uint8)
         first = int(owner[0])
         key = np.repeat((owner - first) * (n + 1), span) + rank
         count = int(owner[-1]) - first + 1
         hist[first:first + count] += np.bincount(key, minlength=count * (n + 1)).reshape(count, n + 1)
-    if hist[:, 1::2].any():
-        raise AssertionError("pair-edge form produced an odd rank")
     return hist
 
 

@@ -279,6 +279,18 @@ class TestWalshKernel:
             assert w.shape == (1, 1 << n)
             assert np.array_equal(w[0].astype(np.int64), fwht(v0 * v0[idx ^ x0]))
 
+    def test_blocks_past_the_kept_scratch(self, rng, monkeypatch):
+        # blocks of 2^8 half-row entries fit the kept scratch up to n = 9,
+        # and above it numpy allocates them; both give the same histogram
+        spectrum._walsh_work.cache_clear()
+        monkeypatch.setattr(spectrum, "_BLOCK", 1 << 9)
+        try:
+            for n in (6, 9, 10, 11):
+                g = every_edge_size_graph(n, rng)
+                assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), dense_magnitudes(g)), n
+        finally:
+            spectrum._walsh_work.cache_clear()
+
     def test_refuses_n_above_24_before_allocating(self):
         tracemalloc.start()
         try:
@@ -449,21 +461,55 @@ class TestBatchedRankHistogram:
 class TestRankKernelStack:
     """One elimination per chunk of (graph, mask) columns over a stack of graphs."""
 
-    def test_stack_matches_per_mask_ranks(self, rng):
+    @staticmethod
+    def stack(n: int, graphs: int, rng, density=0.5):
         from hypermagic.hypergraph import _c_edges
-        from hypermagic.spectrum import _batch_forms
 
-        for n in (3, 5, 8):
-            edges = _c_edges(n, 3)
-            keep = rng.random((7, len(edges))) < 0.5
-            keep[0] = False  # the empty graph: every mask has rank 0
-            want = np.array([per_mask_rank_histogram(from_masks(n, [e for e, k in zip(edges, row) if k]))
-                             for row in keep])
-            forms = _batch_forms(n, keep)
+        edges = _c_edges(n, 3)
+        keep = rng.random((graphs, len(edges))) < density
+        keep[0] = False  # the empty graph: every mask has rank 0
+        want = np.array([per_mask_rank_histogram(from_masks(n, [e for e, k in zip(edges, row) if k]))
+                         for row in keep])
+        return spectrum._batch_forms(n, keep), want
+
+    def test_stack_matches_per_mask_ranks(self, rng):
+        # n = 9...13 alternate sparse and dense draws, so that low and full
+        # ranks both occur
+        cases = [(n, 7, 0.5) for n in (3, 5, 8)]
+        cases += [(n, 3 if n <= 11 else 2, (0.05, 0.5)[n % 2]) for n in range(9, 14)]
+        for n, graphs, density in cases:
+            forms, want = self.stack(n, graphs, rng, density)
+            assert want[:, 2:].sum() > 0
             # 7 and 2^n - 1: several tiles per graph; 3 * 2^n: tiles of whole
             # graphs, the last elimination short; the default: all at once
             for chunk in (7, (1 << n) - 1, 3 << n, spectrum._RANK_CHUNK):
                 assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), (n, chunk)
+
+    def test_uint32_stack_n17(self, rng):
+        # rows need bit 16, past uint16.  7 << 12 cuts the masks as 7 does,
+        # one tile per elimination, at 2^14 masks a tile: chunk 7 itself
+        # takes 2^15 eliminations a graph here
+        n = 17
+        forms, want = self.stack(n, 3, rng, density=0.02)
+        assert want[:, 2:].sum() > 0
+        try:
+            for chunk in (7 << 12, (1 << n) - 1, 3 << n, spectrum._RANK_CHUNK):
+                assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
+        finally:
+            spectrum._work_arrays.cache_clear()  # 3 * 2^n columns keep 100 MB of scratch
+
+    @pytest.mark.parametrize("flip", ["asymmetric", "diagonal"])
+    def test_rejects_a_form_that_is_not_alternating(self, rng, flip, monkeypatch):
+        forms, _ = self.stack(6, 3, rng)
+        forms = forms.astype(np.int64)
+        if flip == "asymmetric":
+            forms[1, 2, 0] ^= 1 << 4  # bit 4 of row 0 of B(e_2), without bit 0 of row 4
+        else:
+            forms[2, 5, 3] ^= 1 << 3  # bit 3 of row 3 of B(e_5)
+        # the check runs on the input, before any elimination
+        monkeypatch.setattr(spectrum, "_work_arrays", None)
+        with pytest.raises(AssertionError, match="symmetric with a zero diagonal"):
+            spectrum._rank_histograms(forms)
 
 
 class TestMomentEvaluator:
