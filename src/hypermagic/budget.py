@@ -17,7 +17,7 @@ import os
 
 DEFAULT_SIM_BUDGET = 26  # phase tables, 2^n-bit
 DEFAULT_SPECTRUM_BUDGET = 12  # rank-class label above it for c <= 3; 4^n words of a full table
-DEFAULT_THEORY_BUDGET = 64  # composition-sum evaluations, about C(n+6, 6)/6 grid cells
+DEFAULT_THEORY_BUDGET = 64  # composition-sum evaluations, about C(n+6, 6)/4 grid cells
 
 ENV_SIM = "HYPERMAGIC_SIM_BUDGET"
 ENV_SPECTRUM = "HYPERMAGIC_SPECTRUM_BUDGET"

@@ -309,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (p_exact, p_ens, p_sweep, p_verify):
         sp.add_argument("--seed", type=int, default=20240517, help="base RNG seed")
+        pooled = sp in (p_ens, p_verify)  # exact and sweep run in one process
         sp.add_argument("--jobs", type=int, default=None,  # None: read HYPERMAGIC_JOBS
-                        help="worker parallelism (env HYPERMAGIC_JOBS)")
+                        help="worker parallelism (env HYPERMAGIC_JOBS)" if pooled
+                        else "accepted and ignored: this command runs in one process")
     for sp in (p_exact, p_ens, p_sweep):  # verify prints verdicts, not rows
         sp.add_argument("--budget", type=int, default=None, help="qubit budget override")
         sp.add_argument("--output", help="write to file instead of stdout")

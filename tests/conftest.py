@@ -4,14 +4,16 @@ The oracles deliberately avoid the package's bit-table machinery: states
 are built by naive per-basis-state loops or dense matrix algebra, so route
 agreement is evidence rather than tautology.  Two oracles that only the
 tests run live here too: `induced_star`, the induced graph with the
-simplified 1-edge layer, and `odd_triples_bruteforce`, which counts the
-sign-flipping triples of a composition vector by labels.
+simplified 1-edge layer, `odd_triples_bruteforce`, which counts the
+sign-flipping triples of a composition vector by labels, and
+`_avg_m2_half_exact`, the p = 1/2 composition sum as a binomial sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -111,6 +113,22 @@ def odd_triples_bruteforce(kappa: tuple[int, ...]) -> int:
         ) % 2
         total += odd
     return total
+
+
+def _avg_m2_half_exact(n: int) -> Fraction:
+    """p = 1/2: only f = 0 splits survive; their multinomial mass in closed form.
+
+    Splits with at most one active class among 1..3 are free; with two or
+    more active classes the class-0 plus part must vanish, every active
+    class must be pure in x, and for three active classes the x pattern
+    must have even weight.
+    """
+    a_mass = 3 * 4**n - 2 * 2**n
+    b2 = 12 * sum(comb(n, r) * (2 ** (n - r) - 2) for r in range(0, n - 1))
+    b3 = 4 * sum(
+        comb(n, r) * (3 ** (n - r) - 3 * 2 ** (n - r) + 3) for r in range(0, n - 2)
+    )
+    return Fraction(a_mass + b2 + b3, 8**n)
 
 
 @pytest.fixture

@@ -700,3 +700,14 @@ class TestParserReuse:
             assert got[i] == (proc.returncode, out, err, written(i, "fresh")), requests[i][0]
         assert got[7][0] == 2
         assert got[5][1] == "" and got[5][3] == got[6][1].encode()
+
+    @pytest.mark.parametrize("command, pooled", [("exact", False), ("ensemble", True),
+                                                 ("sweep", False), ("verify", True)])
+    def test_jobs_help_says_where_it_is_ignored(self, capsys, command, pooled):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.strip().startswith("--jobs JOBS")]
+        assert ("worker parallelism" in line) == pooled
+        assert ("accepted and ignored" in line) == (not pooled)

@@ -33,7 +33,6 @@ from hypermagic.ensembles import (
     _mc_worker,
     _ranges,
     _avg_m2_exact,
-    _avg_m2_half_exact,
     _avg_m2_log,
     _log2_binom_table,
 )
@@ -41,7 +40,7 @@ from hypermagic.hypergraph import c_complete, from_masks
 from hypermagic.spectrum import _RANK_CHUNK, rank_moment
 from hypermagic.verify import counting_N, counting_N_tau, moment_from_counting
 
-from conftest import odd_triples_bruteforce
+from conftest import _avg_m2_half_exact, odd_triples_bruteforce
 
 
 class TestSampling:
@@ -462,17 +461,12 @@ def literal_avg_m2(n: int, p: Fraction) -> Fraction:
 
 
 @functools.cache
-def _cached_log2_binom_table(n: int) -> np.ndarray:
-    return _log2_binom_table(n)
-
-
-@functools.cache
 def _triple_grid(k1: int, k2: int, k3: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f, its parity and the log2-binomial weights on the (a, b, c) grid, flattened.
 
     None of them depends on n or p, so every (n, p) case shares them.
     """
-    lb = _cached_log2_binom_table(k1 + k2 + k3)
+    lb = _log2_binom_table(k1 + k2 + k3)
     a = np.arange(k1 + 1).reshape(-1, 1, 1)
     b = np.arange(k2 + 1).reshape(1, -1, 1)
     c = np.arange(k3 + 1).reshape(1, 1, -1)
@@ -494,7 +488,7 @@ def _triple_grid(k1: int, k2: int, k3: int) -> tuple[np.ndarray, np.ndarray, np.
 def per_triple_avg_m2_log(n: int, p: float) -> float:
     """Signed log-space sum with one grid per ordered (k1, k2, k3)."""
     beta = 1.0 - 2.0 * p
-    lb = _cached_log2_binom_table(n)
+    lb = _log2_binom_table(n)
     abs_beta = abs(beta)
     log_abs_beta = math.log2(abs_beta) if abs_beta > 0 else -math.inf
     negative_base = beta < 0
@@ -606,6 +600,27 @@ class TestAvgM2P:
         for n in (6, 14):
             exact = float(_avg_m2_half_exact(n))
             assert abs(_avg_m2_log(n, 0.5) - exact) <= 1e-11 * exact
+
+    # the theory benchmark asks for p = k/4096 with odd k in [83, 4015]; the
+    # two float extremes put beta = 1 - 2p next to +1 and -1
+    @pytest.mark.parametrize("p", [Fraction(k, 4096) for k in (
+        83, 85, 511, 1023, 1365, 2045, 2047, 2049, 2051, 2731, 3073, 3585, 4013, 4015)]
+        + [Fraction(2.0**-52), Fraction(1 - 2.0**-52)])
+    def test_log_path_at_workload_probabilities(self, p):
+        for n in range(3, 13):
+            exact = _avg_m2_exact(n, p)
+            assert abs(Fraction(_avg_m2_log(n, float(p))) - exact) <= Fraction(1e-11) * exact, n
+
+    @pytest.mark.parametrize("n, limit", [(28, 512 << 10), (64, 4 << 20)])
+    def test_log_path_peak_memory(self, n, limit):
+        for p in (0.3, 0.7):  # the negative base also sums signs
+            tracemalloc.start()
+            try:
+                _avg_m2_log(n, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (p, peak)
 
     def test_dips_below_half_value_for_p_above_half(self):
         # the base 1 - 2p turns negative past p = 1/2, so odd-f terms subtract

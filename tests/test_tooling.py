@@ -18,13 +18,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, without putting perfbench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_layer_is_a_package_function():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     assert "bitops.gf2_rank_fast" in tracer.LAYERS
     for layer in tracer.LAYERS:
         mod_name, fn_name = layer.split(".")
@@ -104,6 +110,7 @@ ORACLES = {
     "induced_star": "conftest",
     "odd_triples_bruteforce": "conftest",
     "_PAIR_ODD": "conftest",
+    "_avg_m2_half_exact": "conftest",
 }
 
 # wrappers and helpers deleted outright
@@ -153,3 +160,19 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_first_theory_block_passes_the_benchmark_oracles(capsys, monkeypatch):
+    # a float drift in the composition sum that the benchmark would count as
+    # a wrong output fails here first: the seed-11 block, through `cli.main`
+    from hypermagic import cli
+
+    for name in [k for k in os.environ if k.startswith("HYPERMAGIC_")]:
+        monkeypatch.delenv(name)
+    workloads, oracles = load_perfbench("workloads"), load_perfbench("oracles")
+    (block,) = workloads.generate("theory", 11, 1)
+    assert len(block) == 20 and {r.kind for r in block} == {"eval", "solve"}
+    for req in block:
+        assert cli.main(req.argv) == 0, req.argv
+        stdout = capsys.readouterr().out
+        assert oracles.check(req, stdout) is None, (req.argv, oracles.check(req, stdout))
