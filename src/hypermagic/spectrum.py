@@ -25,16 +25,14 @@ route: it bounds only those full tables.
 whose edges have at most three vertices, from the GF(2) rank of the
 induced pair-edge form.  One function, `_batch_forms`, sums the forms of
 a stack of 3-edge sets from a per-edge table, and one kernel,
-`_rank_histograms`, ranks them: every (graph, mask) column, by one pair
-elimination per chunk of at most 2^13 columns.  The forms are alternating
-(symmetric with a zero diagonal), so step b strips the hyperbolic pair of
-row b and its lowest set bit q from the rows below it.  Row b is always the
-pivot, so there is no pivot search, and row q is read by symmetry from the
-bits the step computes, so there is no gather.  The rank is twice the
-number of nonzero rows left, even by construction.  `rank_histogram` is their
-one-graph call, the route of `ensembles.state_counts` for every other
-graph whose edges have at most three vertices; the c = 3 ensemble
-enumeration and Monte Carlo samples hand them many graphs at once.
+`_rank_histograms`, ranks them: every (graph, mask) column, by one row
+echelon per chunk of at most 2^13 columns.  Step b clears the lowest set
+bit q of row b from every row below it, so row b is always the pivot: there
+is no pivot search and no gather.  The rank is the number of nonzero rows
+left.  `rank_histogram` is their one-graph call, the route of
+`ensembles.state_counts` for every other graph whose edges have at most
+three vertices; the c = 3 ensemble enumeration and Monte Carlo samples hand
+them many graphs at once.
 
 `moment_from_magnitudes` is the one production moment evaluator: every
 route hands it sparse |W| counts as Python ints, through `sparse_counts`
@@ -366,13 +364,14 @@ def star_trace_sum(g: Hypergraph, alpha, budget: int | None = None):
     return acc_int if exact else math.fsum(acc_float)
 
 
-# (graph, mask) columns per GF(2) elimination.  Under pair elimination, on a
-# 2-core VM, at 2^12, 2^13, 2^14 and 2^15 an n = 15 rank histogram took 9.5,
-# 6.6, 5.7 and 5.9 ms with a traced peak of 0.36, 0.65, 1.25 and 1.73 MiB,
-# eight n = 12 samples 8.0, 5.3, 4.6 and 4.5 ms, and the n = 5 enumeration
-# 8.0, 6.2, 5.9 and 6.0 ms; the kept scratch doubles with the chunk (0.53
-# MiB at 2^13).  2^14 was faster, but it put about 1 MiB on the peak RSS of
-# a 30 s exact-states benchmark run, within 1 MiB of that metric's bound.
+# (graph, mask) columns per GF(2) elimination.  Under row echelon, on a
+# 2-core VM, at 2^12, 2^13, 2^14 and 2^15 an n = 15 rank histogram took 2.0,
+# 1.7, 1.5 and 1.4 ms with a traced peak of 0.46, 0.87, 1.67 and 2.36 MiB,
+# eight n = 12 samples 1.9, 1.4, 1.1 and 1.2 ms, and the n = 5 enumeration
+# 3.1, 2.4, 2.3 and 2.2 ms; the kept scratch doubles with the chunk (0.27
+# MiB at 2^13).  Under pair elimination 2^14 already put about 1 MiB on the
+# peak RSS of a 30 s exact-states benchmark run, within 1 MiB of that
+# metric's bound, so the chunk stays at 2^13.
 _RANK_CHUNK = 1 << 13
 
 
@@ -434,9 +433,9 @@ def rank_histogram(g: Hypergraph, chunk: int = _RANK_CHUNK) -> np.ndarray:
 def _work_arrays(chunk: int, dtype) -> tuple[np.ndarray, ...]:
     """Scratch of `_rank_histograms` for up to one row per bit of dtype, kept between calls.
 
-    Two (rows, chunk) arrays of dtype for the terms of a step, the second
-    also for the nonzero flags at the end, and two chunk-long rows for 2^q
-    and row q: 0.53 MiB for uint16 at 2^13 columns.
+    One (rows, chunk) array of dtype for the masked pivot rows of a step,
+    also for the nonzero flags at the end, and one chunk-long row for 2^q:
+    0.27 MiB for uint16 at 2^13 columns, 1.03 MiB for uint32.
     As temporaries of every step (up to 2 n chunk bytes each, 192 KiB at
     n = 12), such arrays made glibc trim its heap and fault it in again,
     unless earlier requests had raised its thresholds: a median of 320 minor
@@ -444,8 +443,7 @@ def _work_arrays(chunk: int, dtype) -> tuple[np.ndarray, ...]:
     kept.
     """
     rows = 8 * np.dtype(dtype).itemsize
-    return (np.empty((rows, chunk), dtype=dtype), np.empty((rows, chunk), dtype=dtype),
-            np.empty(chunk, dtype=dtype), np.empty(chunk, dtype=dtype))
+    return np.empty((rows, chunk), dtype=dtype), np.empty(chunk, dtype=dtype)
 
 
 def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
@@ -458,15 +456,17 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
     graph, 2^lo <= chunk: a tile's rows are the XOR of the forms of the
     mask's high bits, then the low bits double the tile by one XOR each.
     Whole tiles, at most `chunk` columns, are held as an (n, columns) array
-    of row bitmasks, uint16 up to n = 16 and uint32 above, and reduced by
-    pair elimination.  If row b of an alternating M has its lowest set bit
-    q, then M + r_b r_q^T + r_q r_b^T is alternating, zero in rows and
-    columns b and q, and of rank two less.  Step b = 0 ... n-2 applies this
-    to every row r > b, row_r ^= M[r, b] row_q ^ M[r, q] row_b; the earlier
-    rows and columns are already zero, so q > b, and the rows <= b are
-    final.  Row q is not gathered: by symmetry its bit r is M[r, q], which
-    the step computes anyway, and its bit b is 1.  So a column's rank is
-    twice the number of its nonzero rows at the end, even by construction.
+    of row bitmasks, uint16 up to n = 16 and uint32 above, and brought to
+    row echelon form.  Step b = 0 ... n-2 takes 2^q, the lowest set bit of
+    row b (0 for a zero row), and XORs row b into every row r > b that has
+    bit q.  -(row_r & 2^q) is every bit from q up when it has, and 0 else,
+    and row b has no bit under q, so the masked row b is the whole update:
+    four passes over the rows below b.  Row b holds no pivot bit of an
+    earlier row a: step a cleared it, and the rows XORed in after step a
+    lack it too.  So each nonzero row owns a pivot column that every row
+    below it lacks, the nonzero rows are independent, and a column's rank is
+    their number.  Symmetry is not used, but the ranks of alternating forms
+    are even, which `rank_magnitudes` relies on.
     """
     graphs, n = forms.shape[:2]
     dtype = np.uint16 if n <= 16 else np.uint32
@@ -479,8 +479,6 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
     tiles_per_graph = 1 << (n - lo)
     step = chunk >> lo  # tiles per elimination
     high = np.arange(lo, n)
-    weight = (dtype(1) << np.arange(n, dtype=dtype))[:, None]  # bit r for row r
-    top = dtype(8 * np.dtype(dtype).itemsize - 1)
     hist = np.zeros((graphs, n + 1), dtype=np.int64)
     work = _work_arrays(chunk, dtype)
     for t0 in range(0, graphs * tiles_per_graph, step):
@@ -496,28 +494,17 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
             np.bitwise_xor(rows[:, :, :h], f[:, i].T[:, :, None], out=rows[:, :, h:2 * h])
         width = len(tiles) * span
         rows = rows.reshape(n, width)
-        spread, term = (a[:n, :width] for a in work[:2])
-        low, row_q = (a[:width] for a in work[2:])
+        s, low = work[0][:n, :width], work[1][:width]
         for b in range(n - 1):
-            row_b, below = rows[b], rows[b + 1:]
-            s, u = spread[b + 1:], term[b + 1:]
+            row_b, below, sb = rows[b], rows[b + 1:], s[b + 1:]
             np.bitwise_and(np.negative(row_b, out=low), row_b, out=low)  # 2^q, or 0 for a zero row
-            # M[r, q] row_b: row_b has no bit under q, so it is row_b masked by
-            # -(row_r & 2^q), which is every bit from q up when M[r, q] = 1 and 0 else
-            np.negative(np.bitwise_and(below, low, out=s), out=s)
-            # row q: bit r is M[r, q], the top bit of s, and bit b is 1
-            np.multiply(np.right_shift(s, top, out=u), weight[b + 1:], out=u)
-            np.bitwise_or.reduce(u, axis=0, out=row_q)
-            below ^= np.bitwise_and(s, row_b, out=s)
-            # M[r, b] row_q: bit b of row r times row_q >> b, whose bits under b are 0
-            np.right_shift(row_q, dtype(b), out=row_q)
-            row_q |= dtype(1)
-            below ^= np.multiply(np.bitwise_and(below, dtype(1 << b), out=u), row_q, out=u)
-        # pairs per column, as a uint8 sum over the rows in the kept scratch:
-        # count_nonzero(rows, axis=0) took 5x as long (110 against 20 us at
-        # n = 12 on 2^13 columns)
-        nonzero = np.not_equal(rows, 0, out=work[1].view(bool)[:n, :width])
-        rank = 2 * nonzero.view(np.uint8).sum(axis=0, dtype=np.uint8)
+            np.negative(np.bitwise_and(below, low, out=sb), out=sb)
+            below ^= np.bitwise_and(sb, row_b, out=sb)
+        # nonzero rows per column, as a uint8 sum over the rows in the kept
+        # scratch: count_nonzero(rows, axis=0) took 5x as long (110 against
+        # 20 us at n = 12 on 2^13 columns)
+        nonzero = np.not_equal(rows, 0, out=work[0].view(bool)[:n, :width])
+        rank = nonzero.view(np.uint8).sum(axis=0, dtype=np.uint8)
         first = int(owner[0])
         key = np.repeat((owner - first) * (n + 1), span) + rank
         count = int(owner[-1]) - first + 1

@@ -566,6 +566,19 @@ class TestAvgM2P:
         for p in (Fraction(1, 4), Fraction(3, 4), Fraction(1, 8)):
             assert _avg_m2_exact(4, p) == exact_average(4, 3, p, 2)
 
+    def test_cached_flip_counts_equal_a_fresh_build(self):
+        # the exact path reuses one p-independent table per n; a stale or
+        # mutated table would move every later dyadic-p request
+        for n in range(3, 13):
+            fresh = ensembles._flip_counts.__wrapped__(n)
+            assert ensembles._flip_counts(n) == fresh
+            assert sum(w for _, w in fresh) == 8**n  # p = 0: every split flips nothing
+            for p in map(Fraction, ("1/4", "3/4", "5/16", "1/1024", "1")):
+                beta = 1 - 2 * p
+                want = Fraction(sum(w * beta**f for f, w in fresh), 8**n)
+                assert _avg_m2_exact(n, p) == want, (n, p)
+            assert ensembles._flip_counts(n) is ensembles._flip_counts(n)
+
     @pytest.mark.parametrize("p", [0.25, 0.375, 0.6, 0.75])
     def test_log_path_matches_exact(self, p):
         for n in (4, 7, 10):

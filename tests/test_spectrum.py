@@ -459,17 +459,27 @@ class TestBatchedRankHistogram:
 
 
 class TestRankKernelStack:
-    """One elimination per chunk of (graph, mask) columns over a stack of graphs."""
+    """One row echelon per chunk of (graph, mask) columns over a stack of graphs.
+
+    Every stack is checked against `per_mask_rank_histogram`, one
+    `gf2_rank_fast` per mask built from the edges: random stacks at several
+    densities and chunk sizes, the benchmark's rank-class shape, and
+    rank-deficient stacks, where most rows end at zero.
+    """
 
     @staticmethod
-    def stack(n: int, graphs: int, rng, density=0.5):
+    def graphs_of(n: int, keep: np.ndarray):
         from hypermagic.hypergraph import _c_edges
 
-        edges = _c_edges(n, 3)
-        keep = rng.random((graphs, len(edges))) < density
+        return [from_masks(n, [e for e, k in zip(_c_edges(n, 3), row) if k]) for row in keep]
+
+    @classmethod
+    def stack(cls, n: int, graphs: int, rng, density=0.5):
+        from hypermagic.hypergraph import _c_edges
+
+        keep = rng.random((graphs, len(_c_edges(n, 3)))) < density
         keep[0] = False  # the empty graph: every mask has rank 0
-        want = np.array([per_mask_rank_histogram(from_masks(n, [e for e, k in zip(edges, row) if k]))
-                         for row in keep])
+        want = np.array([per_mask_rank_histogram(g) for g in cls.graphs_of(n, keep)])
         return spectrum._batch_forms(n, keep), want
 
     def test_stack_matches_per_mask_ranks(self, rng):
@@ -496,7 +506,61 @@ class TestRankKernelStack:
             for chunk in (7 << 12, (1 << n) - 1, 3 << n, spectrum._RANK_CHUNK):
                 assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
         finally:
-            spectrum._work_arrays.cache_clear()  # 3 * 2^n columns keep 100 MB of scratch
+            spectrum._work_arrays.cache_clear()  # 3 * 2^n columns keep 50 MB of scratch
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_benchmark_rank_class_stack(self, n, p):
+        # eight c = 3 draws at n = 10...12, as `ensemble --samples 8` makes
+        # them, ranked in one call: whole graphs per chunk, and tiles of a
+        # graph cut across chunks
+        from hypermagic.ensembles import EnsembleSpec, _keep
+
+        spec = EnsembleSpec(3, p, n, 1000 * n + int(100 * p))
+        keep = np.array([_keep(spec, i) for i in range(8)])
+        want = np.array([per_mask_rank_histogram(g) for g in self.graphs_of(n, keep)])
+        forms = spectrum._batch_forms(n, keep)
+        for chunk in (spectrum._RANK_CHUNK, (1 << n) - 1):
+            assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
+
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_rank_deficient_stack(self, n, rng):
+        # most rows end at zero: B(x) of c_complete(n, 3) is x 1^T + 1 x^T off
+        # the diagonal, of rank at most 2, for the 2^(n-1) masks of even
+        # weight; triples through vertices 0 and 1 fill only rows and columns
+        # 0 and 1; vertices with no edge add zero rows and columns, above or
+        # between the live ones
+        from hypermagic.hypergraph import _c_edges
+
+        edges = np.array(_c_edges(n, 3))
+        keep = np.zeros((6, len(edges)), dtype=bool)
+        keep[0] = True  # c_complete(n, 3)
+        keep[1] = edges & 3 == 3
+        lives = (n // 2, n - 1)
+        for g, live in enumerate(lives, start=2):
+            keep[g] = (edges < 1 << live) & (rng.random(len(edges)) < 0.5)  # the top vertices isolated
+        isolated = (1 << 1) | (1 << (n // 2))
+        keep[4] = (edges & isolated == 0) & (rng.random(len(edges)) < 0.5)
+        keep[5] = (edges & isolated == 0) & (rng.random(len(edges)) < 0.9)
+        graphs = self.graphs_of(n, keep)
+        assert graphs[0] == c_complete(n, 3)
+        want = np.array([per_mask_rank_histogram(g) for g in graphs])
+        assert want[0, :3].sum() == 1 << (n - 1) and want[1, 5:].sum() == 0
+        for g, live in enumerate(lives, start=2):
+            assert want[g, live + 1:].sum() == 0
+        assert want[4:, n - 1:].sum() == 0 and want[2:, 2:].sum() > 0
+        forms = spectrum._batch_forms(n, keep)
+        for chunk in (7, (1 << n) - 1, spectrum._RANK_CHUNK):
+            assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
+
+    @pytest.mark.parametrize("dtype, limit", [(np.uint16, 272 << 10), (np.uint32, 1056 << 10)])
+    def test_kept_scratch_stays_small(self, dtype, limit):
+        # the scratch lives as long as the process, so it sits on the peak
+        # RSS of every run that ranks: one (16 or 32, 2^13) array and one
+        # 2^13-long row.  A larger chunk or another kept array fails here
+        # before it shows in a benchmark run's memory
+        kept = spectrum._work_arrays(spectrum._RANK_CHUNK, dtype)
+        assert sum(a.nbytes for a in kept) <= limit
 
     @pytest.mark.parametrize("flip", ["asymmetric", "diagonal"])
     def test_rejects_a_form_that_is_not_alternating(self, rng, flip, monkeypatch):

@@ -176,3 +176,21 @@ def test_first_theory_block_passes_the_benchmark_oracles(capsys, monkeypatch):
         assert cli.main(req.argv) == 0, req.argv
         stdout = capsys.readouterr().out
         assert oracles.check(req, stdout) is None, (req.argv, oracles.check(req, stdout))
+
+
+def test_first_ensemble_block_passes_the_benchmark_oracles(capsys, monkeypatch):
+    # a rank-kernel error that the benchmark would count as a wrong output
+    # fails here first: the seed-11 block through `cli.main`, the rank class
+    # checked by the oracles' own elimination, which pivots on the highest bit
+    from hypermagic import cli
+
+    for name in [k for k in os.environ if k.startswith("HYPERMAGIC_")]:
+        monkeypatch.delenv(name)
+    workloads, oracles = load_perfbench("workloads"), load_perfbench("oracles")
+    (block,) = workloads.generate("ensemble-mc", 11, 1)
+    classes = [r.cls for r in block]
+    assert {c: classes.count(c) for c in classes} == {"rank": 15, "star": 3, "enum": 2}
+    for req in block:
+        assert cli.main(req.argv) == 0, req.argv
+        stdout = capsys.readouterr().out
+        assert oracles.check(req, stdout) is None, (req.argv, oracles.check(req, stdout))
