@@ -116,18 +116,20 @@ def _exact_reports(g: Hypergraph, alphas: list[Fraction], budget_override: int |
     """One table of |W| counts per state, every alpha evaluated from it.
 
     `--dump-spectrum` streams the full spectrum to its file and counts the
-    same blocks; otherwise `ensembles.state_counts` picks the route from
-    the graph alone.  The method label names the budget class, not the
-    route: rank-class when the edges have at most three vertices and n
-    exceeds the spectrum budget, direct-spectrum otherwise.  The spectrum
-    budget picks no route; it sets this label and bounds the size of the
-    dump.
+    same blocks, refused by the spectrum budget or the Walsh kernel's range
+    before any table or file exists; otherwise `ensembles.state_counts`
+    picks the route from the graph alone.  The method label names the
+    budget class, not the route: rank-class when the edges have at most
+    three vertices and n exceeds the spectrum budget, direct-spectrum
+    otherwise.  The spectrum budget picks no route; it sets this label and
+    bounds the size of the dump.
     """
     rank_class = g.n > _budget.spectrum_budget(budget_override) and g.max_edge_size() <= 3
     method = magic.METHOD_RANK if rank_class else magic.METHOD_DIRECT
     if dump_path:
-        state = from_hypergraph(g, budget_override)
         _budget.check(g.n, _budget.spectrum_budget(budget_override), "full Pauli spectrum")
+        spectrum.check_walsh_range(g.n)
+        state = from_hypergraph(g, budget_override)
         with open(dump_path, "w", encoding="utf-8") as fh:
             counts = spectrum.sparse_counts(spectrum.dump_csv(state, fh))
     else:
@@ -159,23 +161,22 @@ def cmd_exact(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    modes = sum(bool(v) for v in (args.samples, args.exact, args.theory))
+    modes = sum((args.samples is not None, args.exact, args.theory))
     if modes != 1:
         raise UsageError("choose exactly one of --samples, --exact, --theory")
     alphas = _parse_alphas(args.alpha)
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"probability {args.p} outside [0, 1]")
-    ensembles.EnsembleSpec(args.c, args.p, args.n, args.seed).check()  # 3 <= c <= n, every mode
+    spec = ensembles.EnsembleSpec(args.c, args.p, args.n, args.seed)
+    spec.check()  # 3 <= c <= n, every mode
     rows = []
     for alpha in alphas:
         bound = (ensembles.bound_general(args.c, int(alpha), args.n)
                  if alpha >= 2 and alpha.denominator == 1 else None)
         stderr = samples = None
-        if args.samples:
-            est = ensembles.monte_carlo_moment(
-                ensembles.EnsembleSpec(args.c, args.p, args.n, args.seed),
-                alpha, args.samples, jobs=args.jobs, budget=args.budget,
-            )
+        if args.samples is not None:
+            est = ensembles.monte_carlo_moment(spec, alpha, args.samples, jobs=args.jobs,
+                                               budget=args.budget)
             method, value, stderr, samples = "monte-carlo", est.mean, est.stderr, est.samples
         elif args.exact:
             method = "exact-enumeration"
@@ -338,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs is None:
             args.jobs = _env_jobs()
+        if args.jobs < 1:
+            raise UsageError(f"--jobs and HYPERMAGIC_JOBS must be at least 1, got {args.jobs}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,9 +26,9 @@ from . import budget as _budget
 from .hypergraph import Hypergraph, _c_edges, from_masks
 from .magic import log2_of
 from .phasestate import from_hypergraph
-from .spectrum import (_RANK_CHUNK, WALSH_MAX_N, _batch_forms, _rank_histograms,
-                       moment_from_magnitudes, positive_alpha, rank_histogram, rank_magnitudes,
-                       sparse_counts, walsh_magnitudes)
+from .spectrum import (_RANK_CHUNK, _rank_histograms, check_walsh_range, moment_from_magnitudes,
+                       positive_alpha, rank_histogram, rank_magnitudes, sparse_counts,
+                       walsh_magnitudes)
 from .symmetric import complete_layer_sizes, reduced_magnitudes
 
 
@@ -98,7 +98,7 @@ def _sample_histograms(spec: EnsembleSpec, start: int, stop: int):
     per = max(1, _RANK_CHUNK >> spec.n)
     for s0 in range(start, stop, per):
         keep = np.array([_keep(spec, i) for i in range(s0, min(s0 + per, stop))])
-        yield from _rank_histograms(_batch_forms(spec.n, keep))
+        yield from _rank_histograms(spec.n, keep)
 
 
 def state_counts(g: Hypergraph, budget: int | None = None) -> dict[int, int]:
@@ -118,9 +118,7 @@ def state_counts(g: Hypergraph, budget: int | None = None) -> dict[int, int]:
     if g.max_edge_size() <= 3:
         _budget.check(g.n, _budget.sim_budget(budget), "rank-class moment")
         return rank_magnitudes(rank_histogram(g), g.n)
-    if g.n > WALSH_MAX_N:
-        raise _budget.BudgetError(f"Walsh spectrum at n={g.n} refused: the float32 Walsh kernel "
-                                  f"is exact only up to n={WALSH_MAX_N}")
+    check_walsh_range(g.n)
     return sparse_counts(walsh_magnitudes(from_hypergraph(g, budget)))
 
 
@@ -198,9 +196,9 @@ def exact_average(n: int, c: int, p, alpha, tau: int = 1) -> Fraction:
 
     The weight of a graph with k edges is p^k (1-p)^{C-k}, one Fraction per
     k; exact whenever p is given as a Fraction or a dyadic float.  For
-    c = 3, graph index bits pick edges: a chunk of graphs' pair forms is
-    summed from the per-edge form table and ranked by one elimination per
-    chunk of (graph, mask) columns.  Graphs are counted per (edge count,
+    c = 3, graph index bits pick edges: a block of graphs' edge flags goes
+    to the rank kernel, which ranks them by one elimination per chunk of
+    (graph, mask) columns.  Graphs are counted per (edge count,
     rank histogram), so memory does not grow with 2^C, and each distinct
     histogram's moment is evaluated once.  For c <= 2 every graph is a
     stabilizer state, m_alpha = 1, and the weights sum to 1, so the average
@@ -228,7 +226,7 @@ def exact_average(n: int, c: int, p, alpha, tau: int = 1) -> Fraction:
     shifts = np.arange(count)
     for g0 in range(0, 1 << count, per):
         keep = (np.arange(g0, min(g0 + per, 1 << count))[:, None] >> shifts) & 1
-        hists = _rank_histograms(_batch_forms(n, keep))
+        hists = _rank_histograms(n, keep)
         keys, graphs = np.unique(np.column_stack([keep.sum(axis=1), hists]), axis=0,
                                  return_counts=True)
         for key, m in zip(map(tuple, keys.tolist()), graphs.tolist()):

@@ -23,16 +23,13 @@ route: it bounds only those full tables.
 
 `rank_moment` evaluates the moment in closed form per X mask for graphs
 whose edges have at most three vertices, from the GF(2) rank of the
-induced pair-edge form.  One function, `_batch_forms`, sums the forms of
-a stack of 3-edge sets from a per-edge table, and one kernel,
-`_rank_histograms`, ranks them: every (graph, mask) column, by one row
-echelon per chunk of at most 2^13 columns.  Step b clears the lowest set
-bit q of row b from every row below it, so row b is always the pivot: there
-is no pivot search and no gather.  The rank is the number of nonzero rows
-left.  `rank_histogram` is their one-graph call, the route of
-`ensembles.state_counts` for every other graph whose edges have at most
-three vertices; the c = 3 ensemble enumeration and Monte Carlo samples hand
-them many graphs at once.
+induced pair-edge form.  One kernel, `_rank_histograms`, takes a stack of
+3-edge sets as rows of edge flags, sums their forms from the per-edge
+table of `_edge_forms`, checked once per n, and ranks every (graph, mask)
+column by row echelon, at most 2^13 columns at a time.  `rank_histogram`
+is its one-graph call, the route of `ensembles.state_counts` for every
+other graph whose edges have at most three vertices; the c = 3 ensemble
+enumeration and Monte Carlo samples hand it many graphs at once.
 
 `moment_from_magnitudes` is the one production moment evaluator: every
 route hands it sparse |W| counts as Python ints, through `sparse_counts`
@@ -146,6 +143,15 @@ def sparse_counts(hist: np.ndarray) -> dict[int, int]:
 
 
 WALSH_MAX_N = 24  # float32 holds every integer of size <= 2^24 exactly
+
+
+def check_walsh_range(n: int) -> None:
+    """BudgetError beyond the Walsh kernel's exact range, for callers to raise before any work."""
+    if n > WALSH_MAX_N:
+        raise _budget.BudgetError(f"Walsh spectrum at n={n} refused: the float32 Walsh kernel "
+                                  f"is exact only up to n={WALSH_MAX_N}")
+
+
 # Elements of W that one block covers, unless one row is larger; half of
 # them are transformed.  On full rows, 2^16 made the block temporaries go
 # back to the OS after every call and be faulted in again (1.5-2x slower at
@@ -380,12 +386,16 @@ def _edge_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair-form table of the 3-edges: edge e adds val[e, s] to the flat forms at pos[e, s].
 
     An edge {i, j, k} sets bit k of row j of B(e_i) for each of its six
-    orderings (the forms of `_rank_histograms`).  Every such bit belongs to
-    one edge, so the XOR of an edge set's forms is a sum.
+    orderings (the forms of `_rank_histograms`).  Checked once per n: no
+    bit is set twice, so an edge set's forms sum to their XOR, and each
+    B(e_i) is symmetric with a zero diagonal, so every such sum is too.
     """
     edges = np.array(_c_edges(n, 3))
     vertices = np.nonzero((edges[:, None] >> np.arange(n)) & 1)[1].reshape(-1, 3)
     orders = vertices[:, list(permutations(range(3)))]  # (edge, ordering, (i, j, k))
+    entry = np.bincount((orders @ [n * n, n, 1]).ravel(), minlength=n**3).reshape(n, n, n)
+    if entry.max() > 1 or (entry != entry.swapaxes(1, 2)).any() or entry.diagonal(0, 1, 2).any():
+        raise AssertionError("3-edge pair forms overlap or are not symmetric with a zero diagonal")
     pos = orders[..., 0] * n + orders[..., 1]
     val = np.ldexp(1.0, orders[..., 2])
     pos.setflags(write=False)
@@ -393,27 +403,15 @@ def _edge_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, val
 
 
-def _batch_forms(n: int, keep: np.ndarray) -> np.ndarray:
-    """Pair forms (graphs, n, n) of the 3-edge sets keep[g], as exact float64 sums.
-
-    keep[g, e] says whether graph g has edge e of `_c_edges(n, 3)`.
-    """
-    pos, val = _edge_forms(n)
-    graph, edge = np.nonzero(keep)
-    flat = np.bincount((pos[edge] + graph[:, None] * (n * n)).ravel(),
-                       weights=val[edge].ravel(), minlength=len(keep) * n * n)
-    return flat.reshape(len(keep), n, n)
-
-
-def rank_histogram(g: Hypergraph, chunk: int = _RANK_CHUNK) -> np.ndarray:
+def rank_histogram(g: Hypergraph) -> np.ndarray:
     """Histogram over x of the GF(2) rank of the induced pair-edge form.
 
     Only valid when every edge has at most three vertices: then the
     induced edges of size >= 2 are exactly the pairs {j, k} flagged by the
     parity of x over the matching third vertices, a symmetric zero-diagonal
     GF(2) matrix B(x).  Ranks of such forms are even.  The graph's 3-edges
-    give its forms by `_batch_forms`, as the ensembles build theirs, and
-    the forms go through `_rank_histograms`, at most `chunk` masks at a time.
+    go to `_rank_histograms` as one row of edge flags, as the ensembles
+    hand it theirs.
     """
     if g.max_edge_size() > 3:
         raise ValueError("rank_histogram requires every edge to have at most 3 vertices")
@@ -426,16 +424,16 @@ def rank_histogram(g: Hypergraph, chunk: int = _RANK_CHUNK) -> np.ndarray:
     edges = _c_edges(n, 3)  # sorted, so searchsorted finds each triple's index
     keep = np.zeros((1, len(edges)), dtype=bool)
     keep[0, np.searchsorted(edges, triples)] = True
-    return _rank_histograms(_batch_forms(n, keep), chunk)[0]
+    return _rank_histograms(n, keep)[0]
 
 
-@lru_cache(maxsize=4)
-def _work_arrays(chunk: int, dtype) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=2)
+def _work_arrays(dtype) -> tuple[np.ndarray, ...]:
     """Scratch of `_rank_histograms` for up to one row per bit of dtype, kept between calls.
 
-    One (rows, chunk) array of dtype for the masked pivot rows of a step,
-    also for the nonzero flags at the end, and one chunk-long row for 2^q:
-    0.27 MiB for uint16 at 2^13 columns, 1.03 MiB for uint32.
+    One (rows, _RANK_CHUNK) array of dtype for the masked pivot rows of a
+    step, also for the nonzero flags at the end, and one row for 2^q:
+    0.27 MiB for uint16, 1.03 MiB for uint32.
     As temporaries of every step (up to 2 n chunk bytes each, 192 KiB at
     n = 12), such arrays made glibc trim its heap and fault it in again,
     unless earlier requests had raised its thresholds: a median of 320 minor
@@ -443,44 +441,46 @@ def _work_arrays(chunk: int, dtype) -> tuple[np.ndarray, ...]:
     kept.
     """
     rows = 8 * np.dtype(dtype).itemsize
-    return np.empty((rows, chunk), dtype=dtype), np.empty(chunk, dtype=dtype)
+    return np.empty((rows, _RANK_CHUNK), dtype=dtype), np.empty(_RANK_CHUNK, dtype=dtype)
 
 
-def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
-    """out[g, r] = number of masks x with rank B_g(x) = r, for a stack of graphs.
+def _rank_histograms(n: int, keep: np.ndarray) -> np.ndarray:
+    """out[g, r] = number of masks x with rank B_g(x) = r, for a stack of 3-edge sets.
 
-    forms[g, i, j] is row j of B_g(e_i) as a bitmask; each must be
-    symmetric with a zero diagonal (alternating), which is checked first and
-    by linearity covers every B_g(x), since B_g(x) = sum_i x_i B_g(e_i).  The
-    columns (g, x) are cut into tiles of 2^lo consecutive masks of one
-    graph, 2^lo <= chunk: a tile's rows are the XOR of the forms of the
+    keep[g, e] says whether graph g has edge e of `_c_edges(n, 3)`.  Its
+    forms B_g(e_i), row j of each as a bitmask, are exact float64 sums of
+    the `_edge_forms` table, alternating by that table's check, and by
+    linearity so is every B_g(x) = sum_i x_i B_g(e_i).  The columns (g, x)
+    are cut into tiles of 2^lo consecutive masks of one graph,
+    2^lo <= _RANK_CHUNK: a tile's rows are the XOR of the forms of the
     mask's high bits, then the low bits double the tile by one XOR each.
-    Whole tiles, at most `chunk` columns, are held as an (n, columns) array
-    of row bitmasks, uint16 up to n = 16 and uint32 above, and brought to
-    row echelon form.  Step b = 0 ... n-2 takes 2^q, the lowest set bit of
-    row b (0 for a zero row), and XORs row b into every row r > b that has
-    bit q.  -(row_r & 2^q) is every bit from q up when it has, and 0 else,
-    and row b has no bit under q, so the masked row b is the whole update:
-    four passes over the rows below b.  Row b holds no pivot bit of an
-    earlier row a: step a cleared it, and the rows XORed in after step a
-    lack it too.  So each nonzero row owns a pivot column that every row
-    below it lacks, the nonzero rows are independent, and a column's rank is
-    their number.  Symmetry is not used, but the ranks of alternating forms
-    are even, which `rank_magnitudes` relies on.
+    Whole tiles, at most _RANK_CHUNK columns, are held as an (n, columns)
+    array of row bitmasks, uint16 up to n = 16 and uint32 above, and
+    brought to row echelon form.  Step b = 0 ... n-2 takes 2^q, the lowest
+    set bit of row b (0 for a zero row), and XORs row b into every row
+    r > b that has bit q.  -(row_r & 2^q) is every bit from q up when it
+    has, and 0 else, and row b has no bit under q, so the masked row b is
+    the whole update: four passes over the rows below b.  Row b holds no
+    pivot bit of an earlier row a: step a cleared it, and the rows XORed in
+    after step a lack it too.  So each nonzero row owns a pivot column that
+    every row below it lacks, the nonzero rows are independent, and a
+    column's rank is their number.  Symmetry is not used, but the ranks of
+    alternating forms are even, which `rank_magnitudes` relies on.
     """
-    graphs, n = forms.shape[:2]
+    graphs = len(keep)
     dtype = np.uint16 if n <= 16 else np.uint32
-    forms = forms.astype(dtype, copy=False)
-    entry = (forms[..., None] >> np.arange(n, dtype=dtype)) & dtype(1)  # bit k of row j of B_g(e_i)
-    if (entry != entry.swapaxes(-1, -2)).any() or entry.diagonal(axis1=-2, axis2=-1).any():
-        raise AssertionError("pair-edge form is not symmetric with a zero diagonal")
-    lo = min(n, chunk.bit_length() - 1)
+    pos, val = _edge_forms(n)
+    graph, edge = np.nonzero(keep)
+    flat = np.bincount((pos[edge] + graph[:, None] * (n * n)).ravel(),
+                       weights=val[edge].ravel(), minlength=graphs * n * n)
+    forms = flat.astype(dtype).reshape(graphs, n, n)
+    lo = min(n, _RANK_CHUNK.bit_length() - 1)
     span = 1 << lo  # masks per tile
     tiles_per_graph = 1 << (n - lo)
-    step = chunk >> lo  # tiles per elimination
+    step = _RANK_CHUNK >> lo  # tiles per elimination
     high = np.arange(lo, n)
     hist = np.zeros((graphs, n + 1), dtype=np.int64)
-    work = _work_arrays(chunk, dtype)
+    work = _work_arrays(dtype)
     for t0 in range(0, graphs * tiles_per_graph, step):
         tiles = np.arange(t0, min(t0 + step, graphs * tiles_per_graph))
         owner = tiles >> (n - lo)
@@ -505,10 +505,8 @@ def _rank_histograms(forms: np.ndarray, chunk: int = _RANK_CHUNK) -> np.ndarray:
         # 20 us at n = 12 on 2^13 columns)
         nonzero = np.not_equal(rows, 0, out=work[0].view(bool)[:n, :width])
         rank = nonzero.view(np.uint8).sum(axis=0, dtype=np.uint8)
-        first = int(owner[0])
-        key = np.repeat((owner - first) * (n + 1), span) + rank
-        count = int(owner[-1]) - first + 1
-        hist[first:first + count] += np.bincount(key, minlength=count * (n + 1)).reshape(count, n + 1)
+        key = np.repeat(owner * (n + 1), span) + rank
+        hist += np.bincount(key, minlength=hist.size).reshape(hist.shape)
     return hist
 
 

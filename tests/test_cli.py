@@ -234,6 +234,24 @@ class TestExact:
         assert "full Pauli spectrum at n=13 exceeds the budget of 12 qubits" in err
         assert not dump.exists()
 
+    @pytest.mark.parametrize("graph", ["ncomplete", "four-edge"])
+    def test_spectrum_dump_beyond_kernel_exit_4_before_any_table(self, capsys, monkeypatch,
+                                                                 tmp_path, graph):
+        # within the raised spectrum budget, past the Walsh kernel: refused
+        # before the phase table is built or the dump file is opened
+        dump = tmp_path / "old.csv"
+        dump.write_text("kept\n")
+        tables = count_calls(monkeypatch, phasestate, "from_hypergraph")
+        source = (["--builtin", "ncomplete:25"] if graph == "ncomplete"
+                  else with_z_edge(tmp_path, from_masks(25, [0b1111 << 7, 0b111])))
+        code, out, err = run_cli(capsys, "exact", *source, "--budget", "30", "--alpha", "2",
+                                 "--dump-spectrum", str(dump))
+        assert (code, out) == (4, "")
+        assert err == ("budget exceeded: Walsh spectrum at n=25 refused: the float32 Walsh "
+                       "kernel is exact only up to n=24\n")
+        assert dump.read_text() == "kept\n"
+        assert tables[0] == 0
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_EXACT))
     def test_golden_stdout(self, capsys, tmp_path, name):
         if name == "uniform3:13":
@@ -393,6 +411,20 @@ class TestExact:
         code, out, _ = run_cli(capsys, "exact", "--builtin", "ccz", "--jobs", "1")
         assert code == 0 and "11/32" in out
 
+    @pytest.mark.parametrize("env, flag, got", [
+        ("0", (), "got 0"), ("-4", (), "got -4"),
+        ("2", ("--jobs", "0"), "got 0"), ("2", ("--jobs", "-3"), "got -3"),
+    ], ids=["env-0", "env-negative", "flag-0", "flag-negative"])
+    @pytest.mark.parametrize("argv", [("exact", "--builtin", "ccz"),
+                                      ("ensemble", "-n", "4", "--exact"),
+                                      ("sweep", "--gamma", "0.5"),
+                                      ("verify", "bounds")], ids=lambda a: a[0])
+    def test_jobs_below_one_is_usage_error(self, capsys, monkeypatch, env, flag, got, argv):
+        monkeypatch.setenv("HYPERMAGIC_JOBS", env)
+        code, out, stderr = run_cli(capsys, *argv, *flag)
+        assert (code, out) == (2, "")
+        assert stderr == f"error: --jobs and HYPERMAGIC_JOBS must be at least 1, {got}\n"
+
     def test_bad_budget_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERMAGIC_SPECTRUM_BUDGET", "1.5")
         code, out, err = run_cli(capsys, "exact", "--builtin", "ccz")
@@ -501,6 +533,15 @@ class TestEnsembleCmd:
             capsys, "ensemble", "-n", "4", "--exact", "--theory", "--alpha", "2"
         )
         assert code == 2
+
+    def test_zero_samples_is_refused_as_too_few(self, capsys):
+        # --samples 0 counts as a mode: the error names the sample count
+        code, out, err = run_cli(capsys, "ensemble", "-n", "4", "--samples", "0", "--alpha", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: need at least two samples for a standard error\n"
+        code, out, err = run_cli(capsys, "ensemble", "-n", "4", "--samples", "0", "--exact")
+        assert (code, out) == (2, "")
+        assert err == "error: choose exactly one of --samples, --exact, --theory\n"
 
     def test_invalid_probability(self, capsys):
         code, _, _ = run_cli(

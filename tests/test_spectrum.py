@@ -3,7 +3,7 @@
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 from math import comb
 
 import numpy as np
@@ -442,29 +442,27 @@ class TestBatchedRankHistogram:
             if n >= 3:
                 graphs += [c_complete(n, 3), random_uniform3(n, rng)]
             for g in graphs:
-                expected = per_mask_rank_histogram(g)
-                assert np.array_equal(rank_histogram(g), expected), g
-                if n <= 10:
-                    assert np.array_equal(rank_histogram(g, chunk=7), expected), g
+                assert np.array_equal(rank_histogram(g), per_mask_rank_histogram(g)), g
 
     def test_uint32_rows_above_16_vertices(self, rng):
-        # n = 17: rows need bit 16, past uint16; a chunk of 3 * 2^12 columns
-        # holds one tile of 2^13 masks
+        # n = 17: rows need bit 16, past uint16; 16 eliminations of one tile each
         n = 17
         g = from_masks(n, (0b111 << 14,) + small_edge_graph(n, rng, sizes=(3,), count=12).edges)
         expected = per_mask_rank_histogram(g)
         assert expected[2:].sum() > 0
-        assert np.array_equal(rank_histogram(g, chunk=3 << 12), expected)
         assert np.array_equal(rank_histogram(g), expected)
 
 
 class TestRankKernelStack:
-    """One row echelon per chunk of (graph, mask) columns over a stack of graphs.
+    """One row echelon per _RANK_CHUNK (graph, mask) columns over a stack of 3-edge sets.
 
     Every stack is checked against `per_mask_rank_histogram`, one
     `gf2_rank_fast` per mask built from the edges: random stacks at several
-    densities and chunk sizes, the benchmark's rank-class shape, and
-    rank-deficient stacks, where most rows end at zero.
+    densities, whole graphs per elimination with the last one short, one
+    elimination of the n = 5 enumeration's 256 graphs, a graph over several
+    eliminations at n = 14 and 15 (after the empty graph that opens every
+    random stack), uint32 rows at n = 17, the benchmark's rank-class shape,
+    and rank-deficient stacks, where most rows end at zero.
     """
 
     @staticmethod
@@ -480,48 +478,38 @@ class TestRankKernelStack:
         keep = rng.random((graphs, len(_c_edges(n, 3)))) < density
         keep[0] = False  # the empty graph: every mask has rank 0
         want = np.array([per_mask_rank_histogram(g) for g in cls.graphs_of(n, keep)])
-        return spectrum._batch_forms(n, keep), want
+        return keep, want
 
     def test_stack_matches_per_mask_ranks(self, rng):
         # n = 9...13 alternate sparse and dense draws, so that low and full
-        # ranks both occur
-        cases = [(n, 7, 0.5) for n in (3, 5, 8)]
+        # ranks both occur; 256 graphs at n = 5 fill one elimination, as the
+        # enumeration's calls do; n = 14 and 15 take 2 and 4 eliminations a graph
+        cases = [(n, 7, 0.5) for n in (3, 5, 8)] + [(5, spectrum._RANK_CHUNK >> 5, 0.5)]
         cases += [(n, 3 if n <= 11 else 2, (0.05, 0.5)[n % 2]) for n in range(9, 14)]
+        cases += [(14, 2, 0.5), (15, 2, 0.05)]
         for n, graphs, density in cases:
-            forms, want = self.stack(n, graphs, rng, density)
+            keep, want = self.stack(n, graphs, rng, density)
             assert want[:, 2:].sum() > 0
-            # 7 and 2^n - 1: several tiles per graph; 3 * 2^n: tiles of whole
-            # graphs, the last elimination short; the default: all at once
-            for chunk in (7, (1 << n) - 1, 3 << n, spectrum._RANK_CHUNK):
-                assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), (n, chunk)
+            assert np.array_equal(spectrum._rank_histograms(n, keep), want), (n, graphs)
 
     def test_uint32_stack_n17(self, rng):
-        # rows need bit 16, past uint16.  7 << 12 cuts the masks as 7 does,
-        # one tile per elimination, at 2^14 masks a tile: chunk 7 itself
-        # takes 2^15 eliminations a graph here
+        # rows need bit 16, past uint16
         n = 17
-        forms, want = self.stack(n, 3, rng, density=0.02)
+        keep, want = self.stack(n, 3, rng, density=0.02)
         assert want[:, 2:].sum() > 0
-        try:
-            for chunk in (7 << 12, (1 << n) - 1, 3 << n, spectrum._RANK_CHUNK):
-                assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
-        finally:
-            spectrum._work_arrays.cache_clear()  # 3 * 2^n columns keep 50 MB of scratch
+        assert np.array_equal(spectrum._rank_histograms(n, keep), want)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_benchmark_rank_class_stack(self, n, p):
         # eight c = 3 draws at n = 10...12, as `ensemble --samples 8` makes
-        # them, ranked in one call: whole graphs per chunk, and tiles of a
-        # graph cut across chunks
+        # them, ranked in one call: whole graphs per elimination
         from hypermagic.ensembles import EnsembleSpec, _keep
 
         spec = EnsembleSpec(3, p, n, 1000 * n + int(100 * p))
         keep = np.array([_keep(spec, i) for i in range(8)])
         want = np.array([per_mask_rank_histogram(g) for g in self.graphs_of(n, keep)])
-        forms = spectrum._batch_forms(n, keep)
-        for chunk in (spectrum._RANK_CHUNK, (1 << n) - 1):
-            assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
+        assert np.array_equal(spectrum._rank_histograms(n, keep), want)
 
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_rank_deficient_stack(self, n, rng):
@@ -549,9 +537,7 @@ class TestRankKernelStack:
         for g, live in enumerate(lives, start=2):
             assert want[g, live + 1:].sum() == 0
         assert want[4:, n - 1:].sum() == 0 and want[2:, 2:].sum() > 0
-        forms = spectrum._batch_forms(n, keep)
-        for chunk in (7, (1 << n) - 1, spectrum._RANK_CHUNK):
-            assert np.array_equal(spectrum._rank_histograms(forms, chunk), want), chunk
+        assert np.array_equal(spectrum._rank_histograms(n, keep), want)
 
     @pytest.mark.parametrize("dtype, limit", [(np.uint16, 272 << 10), (np.uint32, 1056 << 10)])
     def test_kept_scratch_stays_small(self, dtype, limit):
@@ -559,21 +545,40 @@ class TestRankKernelStack:
         # RSS of every run that ranks: one (16 or 32, 2^13) array and one
         # 2^13-long row.  A larger chunk or another kept array fails here
         # before it shows in a benchmark run's memory
-        kept = spectrum._work_arrays(spectrum._RANK_CHUNK, dtype)
+        kept = spectrum._work_arrays(dtype)
         assert sum(a.nbytes for a in kept) <= limit
 
+    def test_edge_form_table_passes_its_check_up_to_the_sim_budget(self):
+        # the check runs once per n, on the table every kernel input sums
+        for n in range(3, 27):
+            pos, val = spectrum._edge_forms.__wrapped__(n)
+            assert pos.shape == val.shape == (comb(n, 3), 6)
+
     @pytest.mark.parametrize("flip", ["asymmetric", "diagonal"])
-    def test_rejects_a_form_that_is_not_alternating(self, rng, flip, monkeypatch):
-        forms, _ = self.stack(6, 3, rng)
-        forms = forms.astype(np.int64)
-        if flip == "asymmetric":
-            forms[1, 2, 0] ^= 1 << 4  # bit 4 of row 0 of B(e_2), without bit 0 of row 4
-        else:
-            forms[2, 5, 3] ^= 1 << 3  # bit 3 of row 3 of B(e_5)
-        # the check runs on the input, before any elimination
-        monkeypatch.setattr(spectrum, "_work_arrays", None)
-        with pytest.raises(AssertionError, match="symmetric with a zero diagonal"):
-            spectrum._rank_histograms(forms)
+    def test_rejects_a_form_that_is_not_alternating(self, flip, monkeypatch):
+        # a corrupt ordering table: the three cyclic orderings set bit k of
+        # row j without bit j of row k; (0, 1, 1) sets a diagonal bit, on the
+        # one edge of n = 3, so that no two entries share it
+        n, orders = {"asymmetric": (6, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+                     "diagonal": (3, [(0, 1, 2), (0, 2, 1), (0, 1, 1)])}[flip]
+        monkeypatch.setattr(spectrum, "permutations", lambda _: orders)
+        spectrum._edge_forms.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="symmetric with a zero diagonal"):
+                spectrum._rank_histograms(n, np.ones((1, comb(n, 3)), dtype=bool))
+        finally:
+            spectrum._edge_forms.cache_clear()
+
+    def test_rejects_edges_that_share_a_bit(self, monkeypatch):
+        # every ordering twice: two entries set each bit, so a sum of the
+        # table's forms is no longer their XOR
+        monkeypatch.setattr(spectrum, "permutations", lambda r: [*permutations(r)] * 2)
+        spectrum._edge_forms.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="overlap"):
+                spectrum._edge_forms(6)
+        finally:
+            spectrum._edge_forms.cache_clear()
 
 
 class TestMomentEvaluator:

@@ -194,3 +194,25 @@ def test_first_ensemble_block_passes_the_benchmark_oracles(capsys, monkeypatch):
         assert cli.main(req.argv) == 0, req.argv
         stdout = capsys.readouterr().out
         assert oracles.check(req, stdout) is None, (req.argv, oracles.check(req, stdout))
+
+
+def test_first_exact_block_passes_the_benchmark_oracles(capsys, monkeypatch, tmp_path):
+    # a wrong moment on the Walsh, rank or Krawtchouk route that the
+    # benchmark would count as a wrong output fails here first: the seed-11
+    # block through `cli.main`, its graph files written as `run.py` writes them
+    from hypermagic import cli
+
+    for name in [k for k in os.environ if k.startswith("HYPERMAGIC_")]:
+        monkeypatch.delenv(name)
+    workloads, oracles = load_perfbench("workloads"), load_perfbench("oracles")
+    (block,) = workloads.generate("exact-states", 11, 1)
+    classes = [r.cls for r in block]
+    assert {c: classes.count(c) for c in classes} == {"small": 24, "medium": 14, "large": 2}
+    for i, req in enumerate(block):
+        if req.graph is not None:
+            path = tmp_path / f"g{i:05d}.hg"
+            path.write_text(req.graph, encoding="utf-8")
+            req.argv = [*req.argv, "--graph", str(path)]
+        assert cli.main(req.argv) == 0, req.argv
+        stdout = capsys.readouterr().out
+        assert oracles.check(req, stdout) is None, (req.argv, oracles.check(req, stdout))
