@@ -7,14 +7,16 @@ x.z is odd (a Pauli with an odd number of Y factors), and otherwise equals
 2 F_x(y), the 2^(n-1)-point transform of g_x over the representatives
 a_t = 0 of the pairs, where t is the top bit of x and y is z without
 bit t.  Row 0 is 2^n delta_z0.  `walsh_half_blocks`, the one Walsh kernel,
-yields the half rows F_x a few rows at a time: it transforms each block of
-about 2^14 entries with two float32 matrix products by the Kronecker
-factors H_{2^floor((n-1)/2)} and H_{2^ceil((n-1)/2)} of the
-Sylvester-Hadamard matrix.  Every partial sum is an integer of size at
-most 2^(n-1), so the products are exact up to n = 24, where the kernel
-stops.  `walsh_magnitudes` streams them into a histogram of |W| = 2|F| in
-O(2^n + block) memory and adds the 2^(2n-1) parity zeros, from which every
-moment order follows.  That histogram is the route of
+yields the half rows F_x a few rows at a time: it builds each block of
+about 2^15 entries in kept float32 scratch, gathering up to 16 rows and
+doubling the rest by bit flips, and transforms it in place with two
+float32 matrix products by the Kronecker factors H_{2^floor((n-1)/2)} and
+H_{2^ceil((n-1)/2)} of the Sylvester-Hadamard matrix.  Every partial sum
+is an integer of size at most 2^(n-1), so the products are exact up to
+n = 24, where the kernel stops (`check_walsh_range`).  `walsh_magnitudes`
+sorts each block's |F| in place and counts it into a histogram of
+|W| = 2|F| in O(2^n + block) memory, and adds the 2^(2n-1) parity zeros,
+from which every moment order follows.  That histogram is the route of
 `ensembles.state_counts` for a graph with an edge of four or more vertices
 that is not a union of complete layers.  `walsh_blocks` scatters the half
 rows into full rows; `dump_csv` streams them to `--dump-spectrum`, and
@@ -152,12 +154,13 @@ def check_walsh_range(n: int) -> None:
                                   f"is exact only up to n={WALSH_MAX_N}")
 
 
-# Elements of W that one block covers, unless one row is larger; half of
-# them are transformed.  On full rows, 2^16 made the block temporaries go
-# back to the OS after every call and be faulted in again (1.5-2x slower at
-# n = 8).  On half rows, 2^14 ran 10-15 % slower than 2^15 at n = 10 and 12,
-# and 2^16 within 8 % of it at n = 6...12.
-_BLOCK = 1 << 15
+# Half-row entries that one block covers, unless one row is larger; each of
+# the two arrays of `_walsh_scratch` holds one block (128 KiB of float32).
+# On random 4-uniform graphs (p = 0.25, 2-core Xeon VM), 2^14 ran slower
+# than 2^15 (n = 8: 0.20 against 0.19 ms, n = 10: 1.9-2.0 against 1.6 ms,
+# n = 12: 35-41 against 34-35 ms per `walsh_magnitudes` call); 2^16 ran 5 %
+# faster at n = 10 and 15 % at n = 12, but doubles the kept scratch.
+_HALF_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=8)
@@ -181,36 +184,34 @@ def _insert_zero(a: np.ndarray, t) -> np.ndarray:
     return (a & low) | ((a & ~low) << 1)
 
 
-def _first_block(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, a ^ x) with a = ins_t(a') for the rows x < rows, each with its own t."""
-    x = np.arange(rows)[:, None]
+# Up to n = 7 the table is one block, and building it one top bit at a time
+# took twice as long as gathering it by these indices (n = 4: 45 against
+# 21 us, n = 7: 110 against 56 us per `walsh_magnitudes` call); the 7
+# tables take 170 KiB.
+_INDEXED_MAX_N = 7
+
+
+@lru_cache(maxsize=_INDEXED_MAX_N)
+def _whole_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, a ^ x) with a = ins_t(a') for every row x, each with its own t."""
+    x = np.arange(1 << n)[:, None]
     a = _insert_zero(np.arange(1 << (n - 1)), _top_bits(x))
     return a, a ^ x
 
 
-# For n <= 7 the first block is the whole table, and building its indices
-# took as long as the transform (n = 4: 66 against 38 us per
-# `walsh_magnitudes` call); the 7 tables take 170 KiB.  Above, the first
-# block is one of several, and a cached 256 KiB per n showed in peak RSS.
-_whole_table_block = lru_cache(maxsize=8)(_first_block)
-
-
 @lru_cache(maxsize=1)
-def _walsh_work() -> tuple[np.ndarray, np.ndarray]:
-    """Two intp arrays of one block's half-row entries, kept between calls: 256 KiB.
+def _walsh_scratch() -> tuple[np.ndarray, np.ndarray]:
+    """Two float32 arrays of one block's half-row entries, kept between calls: 256 KiB.
 
-    They hold the pair offsets of `_walsh_half_blocks` and the magnitudes
-    that `walsh_magnitudes` counts, 128 KiB each for n = 8 ... 15.  Allocated
-    per call and per block, those two made an ensemble-mc star request
-    (c = 4, n = 10, 2 samples) fault a median of 208 pages; kept, none.
+    The first holds a block's rows, built, transformed and yielded in place;
+    the second holds the first of the two matrix products.  Each block of
+    up to 2^15 entries fits them for n <= 16; larger rows get arrays of
+    their own per call.  Block-sized arrays allocated per call are faulted
+    in again on every call: two such intp arrays made an ensemble-mc star
+    request (c = 4, n = 10, 2 samples) fault a median of 208 pages; kept,
+    none.
     """
-    return np.empty(_BLOCK >> 1, dtype=np.intp), np.empty(_BLOCK >> 1, dtype=np.intp)
-
-
-def _kept(i: int, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Kept intp scratch i of this shape, or None (numpy then allocates) if it does not fit."""
-    size, kept = math.prod(shape), _walsh_work()[i]
-    return kept[:size].reshape(shape) if size <= kept.size else None
+    return np.empty(_HALF_BLOCK, dtype=np.float32), np.empty(_HALF_BLOCK, dtype=np.float32)
 
 
 def walsh_half_blocks(state: PhaseState):
@@ -225,18 +226,24 @@ def walsh_half_blocks(state: PhaseState):
     F_0 = 2^(n-1) delta_y0 gives the closed form W[0, z] = 2^n delta_z0 under
     the same rule with max(x, 1) in place of x (see `walsh_blocks`).
 
-    A block holds about 2^14 half-row entries (at least one row) as float32
+    A block holds about 2^15 half-row entries (at least one row) as float32
     with exact integer values.  Rows x0 >= rows share one t; the first block
-    mixes the small t, so that n <= 7 runs as one block.  Writing
-    a' = (a_hi, a_lo) with m_lo = floor((n-1)/2) low bits, each row is the
-    2^m_hi x 2^m_lo matrix U = g_x(ins_t(a')) and its transform is
-    H_hi U H_lo; both products sum at most 2^(n-1) terms of size 1, so no
-    partial sum leaves the exact range.  Raises ValueError for n > 24
-    before allocating anything.
+    takes the rows x < rows one t at a time, so that n <= 8 runs as one
+    block.  With v0 = v(ins_t(a')) and v1 = v(ins_t(a') + 2^t), row x0 + r
+    of a block is v1(a' ^ x' ^ r) v0(a') with x' = x0 - 2^t: the first (up
+    to 16) rows are gathered, and each further row r + 2^i is row r of the
+    v1 factor with bit i of a' flipped.  Writing a' = (a_hi, a_lo) with
+    m_lo = floor((n-1)/2) low bits, each row is the 2^m_hi x 2^m_lo matrix
+    U = g_x(ins_t(a')) and its transform is H_hi U H_lo; both products sum
+    at most 2^(n-1) terms of size 1, so no partial sum leaves the exact
+    range.
+
+    The yielded f is scratch that the next block overwrites, and it is
+    shared by every generator of the process: copy what you keep, and
+    advance one generator at a time.  Raises BudgetError for n > 24 (see
+    `check_walsh_range`) before allocating anything.
     """
-    n = state.n
-    if n > WALSH_MAX_N:
-        raise ValueError(f"the float32 Walsh kernel is exact only up to n={WALSH_MAX_N}, got n={n}")
+    check_walsh_range(state.n)
     return _walsh_half_blocks(state)
 
 
@@ -244,26 +251,52 @@ def _walsh_half_blocks(state: PhaseState):
     n = state.n
     m = n - 1
     half = 1 << m
-    m_lo = m // 2
-    h_lo, h_hi = _hadamard(m_lo), _hadamard(m - m_lo)
+    lo = 1 << (m // 2)
+    h_lo, h_hi = _hadamard(m // 2), _hadamard(m - m // 2)
+    rows = min(1 << n, max(1, _HALF_BLOCK >> m))  # as many as _HALF_BLOCK entries hold
+    if rows * half <= _HALF_BLOCK:
+        f, y = (s[:rows * half].reshape(rows, half) for s in _walsh_scratch())
+    else:
+        f, y = np.empty((1, half), dtype=np.float32), np.empty((1, half), dtype=np.float32)
 
-    def transform(u):
-        y = (u.reshape(-1, 1 << m_lo) @ h_lo).reshape(len(u), 1 << (m - m_lo), 1 << m_lo)
-        return np.matmul(h_hi, y).reshape(len(u), half)
+    def transform():
+        np.matmul(f.reshape(-1, lo), h_lo, out=y.reshape(-1, lo))
+        np.matmul(h_hi, y.reshape(rows, -1, lo), out=f.reshape(rows, -1, lo))
+        return f
 
-    rows = min(1 << n, max(1, _BLOCK >> n))  # as many as _BLOCK entries of W hold
     v = 1 - 2 * state.sign_bits().astype(np.float32)
-    a, b = (_whole_table_block if rows == 1 << n else _first_block)(n, rows)
-    yield 0, transform(v[a] * v[b])
+    if rows == 1 << n and n <= _INDEXED_MAX_N:  # the whole table is one block
+        a, b = _whole_table(n)
+        np.multiply(v[a], v[b], out=f)
+        yield 0, transform()
+        return
     idx = np.arange(half)
-    # x0 is a multiple of rows, so row x0 + r pairs ins_t(a') with
-    # ins_t(a' ^ x' ^ r) + 2^t, where x' = x0 - 2^t
-    offsets = np.bitwise_xor(idx, np.arange(rows)[:, None], out=_kept(0, (rows, half)))
-    for t in range(rows.bit_length() - 1, n):
+    base = idx ^ np.arange(min(16, rows))[:, None]  # a' ^ r for the rows gathered
+    order, shifted = np.empty(half, dtype=np.intp), np.empty(half, dtype=np.float32)
+
+    def factors(t):
         reps = _insert_zero(idx, t)
-        v0, v1 = v[reps], v[reps | (1 << t)]
+        return v[reps], v[reps | (1 << t)]
+
+    def fill(dst, v0, v1, x1):
+        # dst[r] = v1(a' ^ x1 ^ r) v0(a'); x1 is a multiple of len(dst)
+        np.take(v1, np.bitwise_xor(idx, x1, out=order), out=shifted, mode="wrap")
+        k = min(len(dst), len(base))
+        np.take(shifted, base[:k], out=dst[:k], mode="wrap")
+        while k < len(dst):  # v1 row r + k is v1 row r with bit log2(k) of a' flipped
+            np.copyto(dst[k:2 * k].reshape(k, -1, 2, k), dst[:k].reshape(k, -1, 2, k)[:, :, ::-1])
+            k *= 2
+        dst *= v0
+
+    f[0] = 1
+    for t in range(rows.bit_length() - 1):
+        fill(f[1 << t:2 << t], *factors(t), 0)
+    yield 0, transform()
+    for t in range(rows.bit_length() - 1, n):
+        v0, v1 = factors(t)
         for x0 in range(1 << t, 2 << t, rows):
-            yield x0, transform(v1[idx ^ (x0 ^ (1 << t))][offsets] * v0)
+            fill(f, v0, v1, x0 - (1 << t))
+            yield x0, transform()
 
 
 def walsh_blocks(state: PhaseState):
@@ -273,8 +306,8 @@ def walsh_blocks(state: PhaseState):
     sign, with v = (-1)^f.  Each block scatters one `walsh_half_blocks`
     block into full float32 rows: with k = max(x, 1) and t its top bit,
     W[x, z] = 2 F_x(y) when k.z is even, where y is z with bit t removed,
-    and 0 otherwise.  Raises ValueError for n > 24 before allocating
-    anything.
+    and 0 otherwise.  Each w is a new array.  Raises BudgetError for n > 24
+    before allocating anything.
     """
     n = state.n
     half_blocks = walsh_half_blocks(state)  # refuses n > 24
@@ -318,16 +351,30 @@ def walsh_magnitudes(state: PhaseState) -> np.ndarray:
     The moment of any order follows from its `sparse_counts` (see
     `moment_from_magnitudes`).  Each half row F_x gives |W| = 2|F_x(y)| at
     its 2^(n-1) even-parity z, and the other 2^(n-1) entries of the row are
-    the known zeros of `walsh_half_blocks`.  Memory is O(2^n + block): no
-    4^n table is built.  Each call checks Parseval, sum_m hist[m] m^2 = 2^{3n}.
+    the known zeros of `walsh_half_blocks`.  Each block is counted by
+    sorting: |F| in place in the kernel's scratch, a sort, then one binary
+    search per value up to the largest, or the run boundaries when that
+    value exceeds 1/16 of the block's entries.  Memory is O(2^n + block):
+    no 4^n table is built.  Each call checks Parseval,
+    sum_m hist[m] m^2 = 2^{3n}.
     """
     n = state.n
     blocks = walsh_half_blocks(state)  # refuses n > 24 before the histogram exists
     hist = np.zeros((1 << n) + 1, dtype=np.int64)
     even = hist[::2]  # |W| = 2|F| is even
     for _, f in blocks:
-        mags = np.abs(f.reshape(-1), out=_kept(1, (f.size,)), dtype=np.intp, casting="unsafe")
-        even += np.bincount(mags, minlength=even.size)
+        mags = f.reshape(-1)
+        np.abs(mags, out=mags)
+        mags.sort()
+        top = int(mags[-1])
+        # a search costs about 20 ns a key, the run boundaries about 0.6 ns an
+        # entry, so the search is taken while it stays under about 1.3 ns an
+        # entry; rows near |F| = 2^(n-1) (nearly affine states, n >= 13) take the runs
+        if top <= mags.size >> 4:
+            even[:top + 1] += np.diff(mags.searchsorted(np.arange(top + 2, dtype=np.float32)))
+        else:
+            firsts = np.flatnonzero(np.concatenate(([True], mags[1:] != mags[:-1])))
+            even[mags[firsts].astype(np.intp)] += np.diff(firsts, append=mags.size)
     hist[0] += 1 << (2 * n - 1)  # x.z odd: half of the 4^n Paulis
     return _parseval_checked(hist, n)
 

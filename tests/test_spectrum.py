@@ -183,6 +183,16 @@ def dense_walsh(g) -> np.ndarray:
     return ((v[a[:, None] ^ a] * v) @ h).astype(np.int64)
 
 
+def assert_half_row(w: np.ndarray, f: np.ndarray, x: int) -> None:
+    """W row x equals 2 F_x(y) at every even-parity z (y is z without bit t) and 0 elsewhere."""
+    z = np.arange(len(w))
+    t = max(x, 1).bit_length() - 1
+    even = np.bitwise_count(max(x, 1) & z) & 1 == 0
+    y = (z & ((1 << t) - 1)) | ((z >> (t + 1)) << t)
+    assert not w[~even].any(), x
+    assert np.array_equal(w[even], 2 * f[y[even]].astype(np.int64)), x
+
+
 def dense_magnitudes(g) -> np.ndarray:
     return np.bincount(np.abs(dense_walsh(g)).ravel(), minlength=(1 << g.n) + 1)
 
@@ -215,7 +225,7 @@ class TestWalshKernel:
     def test_half_rows_and_parity_zeros(self, rng):
         # W[x, z] = 0 when x.z is odd, else 2 F_x(z without bit t); t is
         # the top bit of max(x, 1)
-        for n in (1, 2, 5, 8, 9):
+        for n in (1, 2, 5, 8, 9, 10, 11):
             g = every_edge_size_graph(n, rng)
             w = dense_walsh(g)
             z = np.arange(1 << n)
@@ -253,7 +263,7 @@ class TestWalshKernel:
             assert np.array_equal(spec.magnitude_histogram(), walsh_magnitudes(st)), g
 
     def test_blocks_cover_rows_in_order(self, rng):
-        # n = 7: one block of 4^7 elements; n = 10: blocks of _BLOCK / 2^10 rows
+        # n = 7: one block of 4^7 elements; n = 10: blocks of _HALF_BLOCK / 2^9 rows
         for n in (7, 10):
             st = from_hypergraph(every_edge_size_graph(n, rng))
             v0 = st.pm_table()
@@ -262,7 +272,7 @@ class TestWalshKernel:
             for x0, w in walsh_blocks(st):
                 assert x0 == next_x
                 assert w.dtype == np.float32 and w.shape[1] == 1 << n
-                assert w.size == min(4**n, spectrum._BLOCK)
+                assert w.size == min(4**n, 2 * spectrum._HALF_BLOCK)
                 for r in range(len(w)):
                     assert np.array_equal(w[r].astype(np.int64), fwht(v0 * v0[idx ^ (x0 + r)]))
                 next_x += len(w)
@@ -279,24 +289,86 @@ class TestWalshKernel:
             assert w.shape == (1, 1 << n)
             assert np.array_equal(w[0].astype(np.int64), fwht(v0 * v0[idx ^ x0]))
 
+    @pytest.mark.parametrize("n", [16, 17, 19])
+    def test_single_row_blocks(self, rng, n):
+        # one row per block: n = 16 fills the kept scratch exactly, and larger
+        # rows get arrays of their own.  Rows 4...7 gather v1 at a' ^ x' with
+        # x' = x - 4 = 0...3, the only rows whose gather is shifted
+        g = from_masks(n, [int(rng.integers(1, 1 << n)) for _ in range(12)] + [(1 << n) - 1])
+        st = from_hypergraph(g)
+        v0 = st.pm_table()
+        z = np.arange(1 << n)
+        for x0, f in islice(spectrum.walsh_half_blocks(st), 8):
+            assert f.shape == (1, 1 << (n - 1))
+            assert_half_row(fwht(v0 * v0[z ^ x0]), f[0], x0)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_first_block_takes_one_top_bit_at_a_time(self, rng, n):
+        # the first block holds rows x < 2^(16 - n), each top bit t in its own
+        # rows 2^t ... 2^(t+1) - 1, the rows from 16 on doubled
+        st = from_hypergraph(every_edge_size_graph(n, rng))
+        v0 = st.pm_table()
+        z = np.arange(1 << n)
+        x0, f = next(spectrum.walsh_half_blocks(st))
+        assert x0 == 0 and f.shape == (min(1 << n, spectrum._HALF_BLOCK >> (n - 1)), 1 << (n - 1))
+        for x in range(len(f)):
+            assert_half_row(fwht(v0 * v0[z ^ x]), f[x], x)
+
+    def test_doubled_blocks_match_the_butterfly(self, rng):
+        # n = 8...11: blocks of 256, 128, 64 and 32 rows, 16 gathered and the
+        # others doubled
+        for n in (8, 9, 10, 11):
+            for _ in range(2):
+                g = every_edge_size_graph(n, rng)
+                assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), fwht_magnitudes(g)), g
+
+    def test_affine_rows(self):
+        # |F| = 2^(n-1) on every row of the plus state, and 2^(n-1) - 2 at one
+        # y of every row x != 0 of the n-vertex edge: the largest magnitudes.
+        # From n = 13 they exceed 1/16 of a block and are counted by runs
+        def closed_forms(n):
+            plus = np.zeros((1 << n) + 1, dtype=np.int64)
+            plus[1 << n], plus[0] = 1 << n, 4**n - (1 << n)
+            top = np.zeros((1 << n) + 1, dtype=np.int64)
+            top[1 << n] = 1
+            top[(1 << n) - 4] += (1 << n) - 1
+            top[4] += ((1 << n) - 1) * ((1 << (n - 1)) - 1)
+            top[0] += 4**n - top.sum()
+            return {empty(n): plus, c_complete(n, n): top}
+
+        for n in (4, 5, 8, 9):
+            for g, hist in closed_forms(n).items():
+                assert np.array_equal(fwht_magnitudes(g), hist), g
+        for n in (4, 5, 8, 9, 10, 11, 13):
+            for g, hist in closed_forms(n).items():
+                assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), hist), g
+
+    def test_kept_scratch_stays_small(self):
+        # the scratch lives as long as the process, so it sits on the peak
+        # RSS of every run that takes the Walsh route: one block of rows and
+        # one of the first product.  A larger block or another kept array
+        # fails here before it shows in a benchmark run's memory
+        assert sum(a.nbytes for a in spectrum._walsh_scratch()) <= 256 << 10
+
     def test_blocks_past_the_kept_scratch(self, rng, monkeypatch):
         # blocks of 2^8 half-row entries fit the kept scratch up to n = 9,
-        # and above it numpy allocates them; both give the same histogram
-        spectrum._walsh_work.cache_clear()
-        monkeypatch.setattr(spectrum, "_BLOCK", 1 << 9)
+        # and above it numpy allocates them; both give the same histogram.
+        # The plus state's rows take the run boundaries from n = 6 on
+        spectrum._walsh_scratch.cache_clear()
+        monkeypatch.setattr(spectrum, "_HALF_BLOCK", 1 << 8)
         try:
             for n in (6, 9, 10, 11):
-                g = every_edge_size_graph(n, rng)
-                assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), dense_magnitudes(g)), n
+                for g in (every_edge_size_graph(n, rng), empty(n)):
+                    assert np.array_equal(walsh_magnitudes(from_hypergraph(g)), dense_magnitudes(g)), g
         finally:
-            spectrum._walsh_work.cache_clear()
+            spectrum._walsh_scratch.cache_clear()
 
     def test_refuses_n_above_24_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="n=25"):
+            with pytest.raises(BudgetError, match="n=25"):
                 walsh_blocks(PhaseState(25, 0))
-            with pytest.raises(ValueError, match="n=25"):
+            with pytest.raises(BudgetError, match="n=25"):
                 walsh_magnitudes(PhaseState(25, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
